@@ -389,6 +389,7 @@ func BenchmarkAblationLocationError(b *testing.B) {
 					Seed: seed * 31, Observer: col})
 				eng.AttachMACs(factory)
 				gen := traffic.NewGenerator(tp)
+				gen.Seed = experiments.TrafficSeed(seed)
 				eng.Run(cfg.Slots, gen)
 				s := col.Summarize(0.9, metrics.GroupFilter(sim.Slot(cfg.Slots)))
 				rate += s.SuccessRate
@@ -421,6 +422,7 @@ func BenchmarkAblationMobility(b *testing.B) {
 				d := &mobility.Driver{Model: model, Radius: 0.2, BeaconEvery: 50}
 				tp := topo.FromPoints(model.Positions(), 0.2)
 				gen := traffic.NewGenerator(tp)
+				gen.Seed = experiments.TrafficSeed(seed)
 				d.OnRefresh = func(newTp *topo.Topology) { gen.Topo = newTp }
 				col := metrics.NewCollector()
 				eng := sim.New(sim.Config{Topo: tp, Observer: col, Seed: seed,

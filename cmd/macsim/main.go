@@ -93,6 +93,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if err = traffic.ValidateRate(*rate); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *pprofAddr != "" {
 		go func() {
@@ -603,6 +607,7 @@ func renderChart(p experiments.Protocol, nodes int, radius, rate float64,
 	gen := traffic.NewGenerator(tp)
 	gen.Rate = rate
 	gen.Timeout = timeout
+	gen.Seed = experiments.TrafficSeed(seed)
 	eng.Run(chartSlots, gen)
 	fmt.Printf("%s on %d stations, first %d slots:\n\n", p, tp.N(), chartSlots)
 	ch.Render(os.Stdout)

@@ -83,6 +83,7 @@ func main() {
 			}
 			gen := traffic.NewGenerator(tp)
 			gen.Rate = 0.0015 // heavier-than-default background load
+			gen.Seed = experiments.TrafficSeed(seed)
 
 			col := metrics.NewCollector()
 			eng := sim.New(sim.Config{Topo: tp, Observer: col, Seed: seed * 7, Capture: capture.ZorziRao{}})

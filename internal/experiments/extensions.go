@@ -58,6 +58,9 @@ func pool(tasks []func()) {
 // runMobile executes one run with random-waypoint mobility at the given
 // speed, refreshing topology every beaconEvery slots.
 func runMobile(cfg RunConfig, speed float64, beaconEvery int) (metrics.Summary, error) {
+	if err := cfg.Validate(); err != nil {
+		return metrics.Summary{}, err
+	}
 	inj, fseed := faultPieces(&cfg)
 	factory, err := faultFactory(&cfg, fseed)
 	if err != nil {
@@ -70,6 +73,7 @@ func runMobile(cfg RunConfig, speed float64, beaconEvery int) (metrics.Summary, 
 	gen.Rate = cfg.Rate
 	gen.Mix = cfg.Mix
 	gen.Timeout = cfg.Timeout
+	gen.Seed = TrafficSeed(cfg.Seed)
 	driver := &mobility.Driver{
 		Model: model, Radius: cfg.Radius, BeaconEvery: beaconEvery,
 		OnRefresh: func(newTp *topo.Topology) { gen.Topo = newTp },
@@ -161,6 +165,7 @@ func LocationError(o Options) (*report.Table, error) {
 				rng := mrand.New(mrand.NewSource(seed))
 				tp := topo.Uniform(cfg.Nodes, cfg.Radius, rng)
 				gen := traffic.NewGenerator(tp)
+				gen.Seed = TrafficSeed(seed)
 				col := metrics.NewCollector()
 				eng := sim.New(sim.Config{
 					Topo: tp, Capture: cfg.Capture,

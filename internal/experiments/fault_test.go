@@ -13,10 +13,11 @@ import (
 
 // TestFaultZeroConfigByteIdentical is the no-op guarantee of the fault
 // subsystem: with a zero-value fault.Config, every protocol's run
-// metrics are byte-identical to the pre-fault-subsystem output pinned
-// in testdata/zerofault_golden.txt (captured at the same seeds before
-// the impairment hook existed). A diff here means the hook perturbs
-// the engine's random sequence or event order even when disabled.
+// metrics are byte-identical to the output pinned in
+// testdata/zerofault_golden.txt (first captured before the impairment
+// hook existed; re-pinned once, when traffic arrivals moved to the
+// generator's own stream). A diff here means the hook perturbs the
+// engine's random sequence or event order even when disabled.
 func TestFaultZeroConfigByteIdentical(t *testing.T) {
 	var b strings.Builder
 	for _, p := range ExtendedProtocols {

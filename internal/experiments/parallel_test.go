@@ -45,12 +45,11 @@ func TestParallelWorkerCountInvariance(t *testing.T) {
 
 // TestParallelWorkerCountInvarianceImpaired repeats the gate with the
 // impairment subsystem active — i.i.d. frame erasures plus node
-// crash/recover schedules — and event-driven traffic, so slot skipping,
+// crash/recover schedules — and sparse traffic, so slot skipping,
 // wake obligations and the fault injector's lazily materialised
 // schedules all interleave with the tile resolver.
 func TestParallelWorkerCountInvarianceImpaired(t *testing.T) {
 	impaired := func(cfg *experiments.RunConfig) {
-		cfg.EventTraffic = true
 		cfg.Rate = 0.00025
 		cfg.Slots = 4000
 		cfg.Fault = fault.Config{

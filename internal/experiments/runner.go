@@ -130,15 +130,6 @@ type RunConfig struct {
 	// for LAMM, disables the MCS memo. Results are bit-identical with the
 	// flag on and off; it exists for equivalence tests and cmd/relbench.
 	Reference bool
-	// EventTraffic switches the generator to its event-driven renewal
-	// form (traffic.Generator.EventDriven): arrivals are drawn by
-	// inter-arrival gap instead of per-slot Bernoulli trials, which
-	// makes empty slots PRNG-free and lets the engine's event clock
-	// skip them. Trajectories differ from the default mode at the same
-	// seed (the PRNG is consumed differently), so the paper sweeps keep
-	// the default; the sparse-traffic benchmarks and the skipping
-	// equivalence tests opt in.
-	EventTraffic bool
 	// Workers > 0 enables the engine's deterministic parallel tile
 	// resolver (sim.Config.Parallel) with that many pool workers.
 	// Results are byte-identical for every worker count — including
@@ -194,10 +185,25 @@ type RunResult struct {
 	Fault *fault.Injector
 }
 
+// Validate reports the first invalid field of the configuration: a
+// generation rate outside [0, 1] (NaN included).
+func (cfg RunConfig) Validate() error {
+	if err := traffic.ValidateRate(cfg.Rate); err != nil {
+		return fmt.Errorf("experiments: %w", err)
+	}
+	return nil
+}
+
 // faultSeed derives the impairment seed from the run seed; a distinct
 // mixing constant keeps it decoupled from both the topology RNG
 // (cfg.Seed itself) and the channel RNG (cfg.Seed ^ 0x1e37…).
 func faultSeed(seed int64) int64 { return seed ^ 0x5851f42d4c957f2d }
+
+// TrafficSeed derives the key of the traffic generator's own stream
+// (traffic.Generator.Seed) from a run seed, with a mixing constant
+// distinct from the topology, channel and fault seeds. Every run at one
+// seed, whatever its protocol, therefore draws the same arrivals.
+func TrafficSeed(seed int64) int64 { return seed ^ 0x2545f4914f6cdd1d }
 
 // faultPieces resolves the configured impairments: the channel/crash
 // injector for the engine (nil when inert) and the resolved fault seed.
@@ -228,6 +234,9 @@ func faultFactory(cfg *RunConfig, fseed int64) (func(node int, env *sim.Env) sim
 
 // Run executes one simulation run to completion.
 func Run(cfg RunConfig) (RunResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return RunResult{}, err
+	}
 	inj, fseed := faultPieces(&cfg)
 	factory, err := faultFactory(&cfg, fseed)
 	if err != nil {
@@ -264,7 +273,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 	gen.Rate = cfg.Rate
 	gen.Mix = cfg.Mix
 	gen.Timeout = cfg.Timeout
-	gen.EventDriven = cfg.EventTraffic
+	gen.Seed = TrafficSeed(cfg.Seed)
 	eng.Run(cfg.Slots, gen)
 	horizon := sim.Slot(cfg.Slots)
 	return RunResult{

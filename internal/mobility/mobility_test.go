@@ -135,6 +135,7 @@ func TestProtocolsUnderMobility(t *testing.T) {
 			tp := topo.FromPoints(model.Positions(), 0.2)
 			gen := traffic.NewGenerator(tp)
 			gen.Rate = 0.0005
+			gen.Seed = seed
 			d.OnRefresh = func(newTp *topo.Topology) { gen.Topo = newTp }
 			col := metrics.NewCollector()
 			eng := sim.New(sim.Config{Topo: tp, Observer: col, Seed: seed, SlotHook: d.Hook()})

@@ -160,9 +160,8 @@ type Source interface {
 // EventSource is the optional Source extension behind event-driven slot
 // skipping. NextArrival lets the engine ask "when is your next request
 // due?" without simulating the empty slots in between; a Source that
-// cannot answer (the default Bernoulli generator draws the PRNG on every
-// slot) simply doesn't implement it, and Run falls back to per-slot
-// stepping.
+// cannot answer simply doesn't implement it, and Run falls back to
+// per-slot stepping.
 //
 // The contract that keeps skipping bit-identical to per-slot execution:
 // Arrivals must be PRNG-free on slots where it returns no requests, and

@@ -5,31 +5,30 @@
 // a multicast with probability 0.4 and a broadcast with probability 0.4.
 // Messages carry an upper-layer timeout (default 100 slots).
 //
-// # Arrival modes
+// # Arrival mode
 //
-// Generator samples the Bernoulli arrival law two ways:
-//
-//   - per-slot (default): one PRNG draw per node per slot, the direct
-//     transcription of Table 2. Every slot consumes PRNG state, so runs
-//     are comparable draw-for-draw with the project's original goldens;
-//   - event-driven (Generator.EventDriven): the equivalent renewal
-//     process — geometric inter-arrival gaps over the slot-major,
-//     node-minor lattice of (slot, node) points, drawn only when an
-//     arrival fires. Empty slots consume nothing, and NextArrival
-//     announces the next firing slot without touching the PRNG, which
-//     is what lets the engine's event clock (sim.EventSource) jump
-//     whole idle stretches.
-//
-// The two modes sample the same distribution but consume the PRNG
-// differently, so trajectories differ at the same seed; event-driven is
-// an opt-in for runs whose goldens were recorded with it (the sparse
-// benchmarks, the skipping equivalence tests).
+// Generator samples the Bernoulli arrival law one way: as the
+// equivalent renewal process — geometric inter-arrival gaps over the
+// slot-major, node-minor lattice of (slot, node) points, drawn only when
+// an arrival fires. Every lattice point still fires independently with
+// probability equal to the rate, so the marginals are Table 2's. Empty
+// slots cost nothing, and NextArrival announces the next firing slot,
+// which is what lets the engine's event clock (sim.EventSource) jump
+// whole idle stretches in every run. A gap too large for the slot
+// counter (rates near zero) ends the process: NextArrival then reports
+// no further arrival.
 //
 // # Determinism
 //
-// All randomness flows through the *rand.Rand the engine passes to
-// Arrivals; the package holds no PRNG of its own and never reads the
-// clock. Arrival order within a slot is node-ID order in both modes.
+// The generator owns its randomness: an 8-byte splitmix64 stream keyed
+// by Generator.Seed draws the gaps, the kinds and the destinations. The
+// *rand.Rand the engine passes to Arrivals is ignored, so the arrival
+// sequence at a given seed does not depend on how many backoff or
+// capture draws the MAC layer made — every protocol run at that seed
+// faces the same traffic, the paired design the paper's comparisons
+// assume. experiments.TrafficSeed derives the key from a run seed. The
+// package never reads the clock. Arrival order within a slot is node-ID
+// order.
 //
 // # Entry points
 //

@@ -44,36 +44,43 @@ func (m Mix) pick(rng *rand.Rand) sim.Kind {
 	}
 }
 
-// Generator implements sim.Source with Bernoulli per-node arrivals.
+// Generator implements sim.EventSource with the Table 2 arrival law:
+// every (slot, node) point fires independently with probability Rate.
+// It samples that Bernoulli process as a renewal process — geometric
+// gaps over the slot-major, node-minor lattice of (slot, node) points,
+// drawn only when an arrival fires — so empty slots cost nothing and
+// NextArrival can announce the next firing slot, which lets the
+// engine's event clock skip idle stretches.
+//
+// All of its randomness (gaps, kinds, destinations) comes from its own
+// splitmix64 stream keyed by Seed, never from the engine PRNG, so the
+// arrival sequence at a given seed is the same whatever MAC runs on top.
 type Generator struct {
 	// Topo supplies neighbor sets for destination selection.
 	Topo *topo.Topology
 	// Rate is the per-node, per-slot message generation probability.
+	// Rates at or below zero (and NaN) generate nothing; rates above one
+	// act as one. ValidateRate is the check callers run on user input.
 	Rate float64
 	// Mix is the kind distribution.
 	Mix Mix
 	// Timeout is the upper-layer deadline in slots after arrival.
 	Timeout int
-	// EventDriven switches the generator from the per-slot Bernoulli
-	// process (one PRNG draw per node per slot) to the equivalent
-	// renewal process: geometric inter-arrival gaps over the
-	// slot-major, node-minor lattice of (slot, node) points, drawn only
-	// when an arrival actually fires. Arrivals on empty slots then draw
-	// nothing from the PRNG and NextArrival can announce the next
-	// arrival slot, which is what lets the engine's event clock skip
-	// idle stretches (sim.EventSource). The two modes sample the same
-	// distribution but consume the PRNG differently, so switching modes
-	// changes individual trajectories — it is an opt-in for runs whose
-	// goldens were recorded with it.
-	EventDriven bool
+	// Seed keys the generator's own random stream. It is read once, on
+	// the first Arrivals call; set it before the run starts.
+	Seed int64
 
+	src splitmix
+	// rng draws on src; nil until the first Arrivals call, which seeds
+	// the stream and places the cursor on the first firing point.
+	rng    *rand.Rand
 	nextID int64
-	// Event-mode cursor: the next lattice point that fires, plus an
-	// init flag (the first gap is drawn lazily inside Arrivals so that
-	// construction stays PRNG-free).
-	evInit bool
-	evSlot sim.Slot
-	evNode int
+	// The cursor: the next lattice point that fires. done means no point
+	// ever fires again (zero rate, empty topology, or a gap past the
+	// representable lattice).
+	slot sim.Slot
+	node int
+	done bool
 	// buf is the reused Arrivals result slice. The engine consumes the
 	// returned requests before the next Arrivals call (the sim.Source
 	// contract), so only the requests — not the slice — must survive.
@@ -81,23 +88,41 @@ type Generator struct {
 }
 
 // NewGenerator builds a Generator with the paper's defaults (rate
-// 0.0005, mix 0.2/0.4/0.4, timeout 100) on the given topology.
+// 0.0005, mix 0.2/0.4/0.4, timeout 100) on the given topology. Set Seed
+// before the run; the zero seed is a valid but shared stream.
 func NewGenerator(tp *topo.Topology) *Generator {
 	return &Generator{Topo: tp, Rate: 0.0005, Mix: DefaultMix(), Timeout: 100}
 }
 
-// Arrivals implements sim.Source.
-func (g *Generator) Arrivals(now sim.Slot, rng *rand.Rand) []*sim.Request {
-	if g.EventDriven {
-		return g.eventArrivals(now, rng)
+// ValidateRate reports an error for a generation rate outside [0, 1],
+// NaN included.
+func ValidateRate(rate float64) error {
+	if !(rate >= 0 && rate <= 1) {
+		return fmt.Errorf("traffic: generation rate %v outside [0, 1]", rate)
 	}
+	return nil
+}
+
+// Arrivals implements sim.Source: it fires every lattice point scheduled
+// for this slot, drawing the next gap after each. The engine's rng is
+// never used. Calls on slots before the cursor draw nothing, so stepping
+// every slot and jumping to the slots NextArrival announces produce
+// identical requests.
+func (g *Generator) Arrivals(now sim.Slot, _ *rand.Rand) []*sim.Request {
 	out := g.buf[:0]
-	for node := 0; node < g.Topo.N(); node++ {
-		if rng.Float64() >= g.Rate {
-			continue
-		}
-		req := g.makeRequest(node, now, rng)
-		if req != nil {
+	if g.rng == nil {
+		g.start()
+	}
+	// Points the caller stepped past without consulting us (a run that
+	// began with Step calls, or a wrapping source) are dropped; their
+	// gap draws keep the stream aligned.
+	for !g.done && g.slot < now {
+		g.advance(1)
+	}
+	for !g.done && g.slot == now {
+		node := g.node
+		g.advance(1)
+		if req := g.makeRequest(node, now); req != nil {
 			out = append(out, req)
 		}
 	}
@@ -105,74 +130,58 @@ func (g *Generator) Arrivals(now sim.Slot, rng *rand.Rand) []*sim.Request {
 	return out
 }
 
-// eventArrivals is the renewal-process form: fire every lattice point
-// scheduled for this slot, drawing the next geometric gap after each.
-// Calls on slots before the cursor draw nothing — the PRNG-neutrality
-// that makes slot skipping byte-identical to per-slot stepping.
-func (g *Generator) eventArrivals(now sim.Slot, rng *rand.Rand) []*sim.Request {
-	out := g.buf[:0]
-	g.buf = out
-	if g.Rate <= 0 || g.Topo.N() == 0 {
-		return out
+// start seeds the stream and draws the first gap from lattice point
+// (0, 0).
+func (g *Generator) start() {
+	g.src.s = uint64(g.Seed)
+	g.rng = rand.New(&g.src)
+	if !(g.Rate > 0) || g.Topo.N() == 0 {
+		g.done = true
+		return
 	}
-	if !g.evInit {
-		g.evInit = true
-		g.evSlot, g.evNode = 0, 0
-		g.evAdvance(rng, 0)
-	}
-	// Points the caller stepped past without consulting us (mixed
-	// sources, manual Step loops) are dropped, consuming their gap
-	// draws so the stream stays aligned.
-	for g.evSlot < now {
-		g.evAdvance(rng, 1)
-	}
-	for g.evSlot == now {
-		node := g.evNode
-		g.evAdvance(rng, 1)
-		if req := g.makeRequest(node, now, rng); req != nil {
-			out = append(out, req)
-		}
-	}
-	g.buf = out
-	return out
+	g.advance(0)
 }
 
-// evAdvance moves the cursor from its current lattice point to the next
+// advance moves the cursor from its current lattice point to the next
 // firing one: `consumed` steps past the current point (1 after a
-// firing, 0 on init), then a geometric number of silent points. The gap
-// law floor(log1p(-u)/log1p(-p)) gives P(gap=k) = (1-p)^k·p, so every
-// lattice point still fires independently with probability Rate —
-// the Bernoulli process, sampled by inter-arrival instead of by point.
-func (g *Generator) evAdvance(rng *rand.Rand, consumed int) {
-	u := rng.Float64()
-	gap := math.Floor(math.Log1p(-u) / math.Log1p(-g.Rate))
+// firing, 0 at the start), then a geometric number of silent points.
+// The gap law floor(log1p(-u)/log1p(-p)) gives P(gap=k) = (1-p)^k·p, so
+// every lattice point fires independently with probability Rate. A gap
+// that would carry the cursor past the largest representable slot —
+// reachable for rates near zero — ends the process instead of wrapping.
+func (g *Generator) advance(consumed int) {
+	gap := math.Floor(math.Log1p(-g.rng.Float64()) / math.Log1p(-min(g.Rate, 1)))
 	n := sim.Slot(g.Topo.N())
-	idx := g.evSlot*n + sim.Slot(g.evNode) + sim.Slot(consumed) + sim.Slot(gap)
-	g.evSlot = idx / n
-	g.evNode = int(idx % n)
+	idx := g.slot*n + sim.Slot(g.node) // a previous index: no overflow
+	if !(gap < math.MaxInt64/2) || sim.Slot(gap)+sim.Slot(consumed) > math.MaxInt64-idx {
+		g.done = true
+		return
+	}
+	idx += sim.Slot(consumed) + sim.Slot(gap)
+	g.slot = idx / n
+	g.node = int(idx % n)
 }
 
-// NextArrival implements sim.EventSource. In the default Bernoulli mode
-// it conservatively returns the asked-for slot itself — every slot may
-// produce arrivals and must be stepped — so attaching a non-event
-// generator never lets the engine skip. In event-driven mode it
-// announces the cursor's slot without touching any PRNG.
+// NextArrival implements sim.EventSource: the cursor's slot, without
+// touching any stream. Before the first Arrivals call it conservatively
+// answers the asked-for slot, so the engine steps that slot and the
+// stream starts there.
 func (g *Generator) NextArrival(after sim.Slot) (sim.Slot, bool) {
-	if !g.EventDriven || !g.evInit {
+	switch {
+	case g.rng == nil:
 		return after, true
-	}
-	if g.Rate <= 0 || g.Topo.N() == 0 {
+	case g.done:
 		return 0, false
-	}
-	if g.evSlot < after {
+	case g.slot < after:
 		return after, true
 	}
-	return g.evSlot, true
+	return g.slot, true
 }
 
 // makeRequest builds one request originating at the node, or nil when the
 // node has no neighbors to address.
-func (g *Generator) makeRequest(node int, now sim.Slot, rng *rand.Rand) *sim.Request {
+func (g *Generator) makeRequest(node int, now sim.Slot) *sim.Request {
+	rng := g.rng
 	nb := g.Topo.Neighbors(node)
 	if len(nb) == 0 {
 		return nil
@@ -212,6 +221,26 @@ func sampleWithoutReplacement(src []int, k int, rng *rand.Rand) []int {
 	}
 	return buf[:k]
 }
+
+// splitmix is the splitmix64 generator as an 8-byte rand.Source64: the
+// stateful form of the mix64 finalizer that internal/fault and the
+// parallel resolver hash keys with. A rand.NewSource state is ~4.9 KB.
+type splitmix struct{ s uint64 }
+
+// Uint64 implements rand.Source64.
+func (x *splitmix) Uint64() uint64 {
+	x.s += 0x9e3779b97f4a7c15
+	z := x.s
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// Int63 implements rand.Source.
+func (x *splitmix) Int63() int64 { return int64(x.Uint64() >> 1) }
+
+// Seed implements rand.Source.
+func (x *splitmix) Seed(seed int64) { x.s = uint64(seed) }
 
 // Script is a deterministic sim.Source for tests and examples: requests
 // are released at pre-programmed slots. It implements sim.EventSource —

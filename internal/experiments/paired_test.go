@@ -78,3 +78,32 @@ func TestRunRejectsInvalidRate(t *testing.T) {
 		t.Errorf("rate 1e-300: %d messages, want 0", res.Summary.Messages)
 	}
 }
+
+// TestRunRejectsInvalidSize: a run with no stations, a radius that is
+// not positive (NaN included) or no slots is a configuration error, not
+// a panic deep in topology building or an all-zero result.
+func TestRunRejectsInvalidSize(t *testing.T) {
+	cases := []struct {
+		name string
+		set  func(cfg *experiments.RunConfig)
+	}{
+		{"nodes 0", func(cfg *experiments.RunConfig) { cfg.Nodes = 0 }},
+		{"nodes -3", func(cfg *experiments.RunConfig) { cfg.Nodes = -3 }},
+		{"radius 0", func(cfg *experiments.RunConfig) { cfg.Radius = 0 }},
+		{"radius -1", func(cfg *experiments.RunConfig) { cfg.Radius = -1 }},
+		{"radius NaN", func(cfg *experiments.RunConfig) { cfg.Radius = math.NaN() }},
+		{"slots 0", func(cfg *experiments.RunConfig) { cfg.Slots = 0 }},
+		{"slots -5", func(cfg *experiments.RunConfig) { cfg.Slots = -5 }},
+	}
+	for _, c := range cases {
+		cfg := experiments.Defaults(experiments.BMMM, 1)
+		cfg.Slots = 10
+		c.set(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate returned no error", c.name)
+		}
+		if _, err := experiments.Run(cfg); err == nil {
+			t.Errorf("%s: Run returned no error", c.name)
+		}
+	}
+}

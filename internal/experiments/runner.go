@@ -130,19 +130,6 @@ type RunConfig struct {
 	// for LAMM, disables the MCS memo. Results are bit-identical with the
 	// flag on and off; it exists for equivalence tests and cmd/relbench.
 	Reference bool
-	// Workers > 0 enables the engine's deterministic parallel tile
-	// resolver (sim.Config.Parallel) with that many pool workers.
-	// Results are byte-identical for every worker count — including
-	// Workers=1 — but differ from the serial (Workers=0) trajectory,
-	// because interior-tile capture draws move off the engine stream
-	// onto per-tile streams. The paper sweeps keep the serial default;
-	// the scaling benchmarks and the parallel differential suite opt in.
-	// Mutually exclusive with Reference.
-	Workers int
-	// TileSize is the tile side length for the parallel resolver; 0
-	// lets the engine default to 4× the radio radius. Ignored when
-	// Workers is 0.
-	TileSize float64
 	// Profiler attaches a runtime phase profiler to the engine
 	// (sim.Config.Profiler) — typically a prof.PhaseTimer. Profilers
 	// are PRNG-neutral and mutation-free by contract, so results are
@@ -185,9 +172,18 @@ type RunResult struct {
 	Fault *fault.Injector
 }
 
-// Validate reports the first invalid field of the configuration: a
-// generation rate outside [0, 1] (NaN included).
+// Validate reports the first invalid field of the configuration: fewer
+// than one node, a radius that is not positive (NaN included), fewer
+// than one slot, or a generation rate outside [0, 1] (NaN included).
 func (cfg RunConfig) Validate() error {
+	switch {
+	case cfg.Nodes < 1:
+		return fmt.Errorf("experiments: nodes %d: need at least 1", cfg.Nodes)
+	case !(cfg.Radius > 0):
+		return fmt.Errorf("experiments: radius %v: must be positive", cfg.Radius)
+	case cfg.Slots < 1:
+		return fmt.Errorf("experiments: slots %d: need at least 1", cfg.Slots)
+	}
 	if err := traffic.ValidateRate(cfg.Rate); err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
@@ -264,10 +260,8 @@ func Run(cfg RunConfig) (RunResult, error) {
 		Lifecycle:    sim.CombineLifecycleObservers(cfg.Lifecycles...),
 		Tracer:       cfg.Tracer,
 		Reference:    cfg.Reference,
-		Parallel:     sim.Parallel{Workers: cfg.Workers, TileSize: cfg.TileSize},
 		Profiler:     cfg.Profiler,
 	})
-	defer eng.Close()
 	eng.AttachMACs(factory)
 	gen := traffic.NewGenerator(tp)
 	gen.Rate = cfg.Rate

@@ -213,12 +213,19 @@ func TestUniformDeterministicWithSeed(t *testing.T) {
 }
 
 func TestRadiusValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive radius must panic")
-		}
-	}()
-	FromPoints(nil, 0)
+	// Each case carries a point: a nil slice returns before the neighbor
+	// grid is sized, and sizing it from a NaN radius never terminates.
+	pts := []geom.Point{geom.Pt(0.5, 0.5)}
+	for _, r := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("radius %v must panic", r)
+				}
+			}()
+			FromPoints(pts, r)
+		}()
+	}
 }
 
 func BenchmarkUniform1000(b *testing.B) {

@@ -223,8 +223,8 @@ func sampleWithoutReplacement(src []int, k int, rng *rand.Rand) []int {
 }
 
 // splitmix is the splitmix64 generator as an 8-byte rand.Source64: the
-// stateful form of the mix64 finalizer that internal/fault and the
-// parallel resolver hash keys with. A rand.NewSource state is ~4.9 KB.
+// stateful form of the mix64 finalizer that internal/fault hashes keys
+// with. A rand.NewSource state is ~4.9 KB.
 type splitmix struct{ s uint64 }
 
 // Uint64 implements rand.Source64.

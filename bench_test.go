@@ -306,21 +306,23 @@ func BenchmarkEngineThroughputReference(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineObserverOverhead quantifies the cost of the
-// observability layer around the engine's observer dispatch:
+// BenchmarkEngineObserverOverhead quantifies the cost of the event
+// stream around the engine's emission sites:
 //
 //   - disabled: the metrics collector alone (the seed configuration) —
-//     must stay within noise (≤5%) of the seed, since the engine's
-//     single-observer path is untouched by the fan-out machinery;
+//     every kind it does not want costs one bit test;
 //   - multi: collector + event tracer + stat registry through
-//     sim.MultiObserver — the price of full tracing.
+//     sim.MultiSink — the price of full tracing;
+//   - all: every obs consumer (tracer, stats, ledger, flight recorder,
+//     auditor, drift monitor), which adds the per-slot, idle-span and
+//     lifecycle kinds to the stream.
 func BenchmarkEngineObserverOverhead(b *testing.B) {
-	run := func(b *testing.B, extra func() []sim.Observer) {
+	run := func(b *testing.B, extra func(cfg *experiments.RunConfig) []sim.Sink) {
 		for i := 0; i < b.N; i++ {
 			cfg := experiments.Defaults(experiments.BMMM, int64(i))
 			cfg.Slots = 2000
 			if extra != nil {
-				cfg.Observers = extra()
+				cfg.Sinks = extra(&cfg)
 			}
 			if _, err := experiments.Run(cfg); err != nil {
 				b.Fatal(err)
@@ -330,8 +332,16 @@ func BenchmarkEngineObserverOverhead(b *testing.B) {
 	b.Run("disabled", func(b *testing.B) { run(b, nil) })
 	b.Run("multi", func(b *testing.B) {
 		reg := obs.NewRegistry()
-		run(b, func() []sim.Observer {
-			return []sim.Observer{obs.NewTracer(0), obs.NewStats(reg, "bench")}
+		run(b, func(*experiments.RunConfig) []sim.Sink {
+			return []sim.Sink{obs.NewTracer(0), obs.NewStats(reg, "bench")}
+		})
+	})
+	b.Run("all", func(b *testing.B) {
+		reg := obs.NewRegistry()
+		run(b, func(cfg *experiments.RunConfig) []sim.Sink {
+			return []sim.Sink{obs.NewTracer(0), obs.NewStats(reg, "bench"), obs.NewLedger(reg, "bench"),
+				obs.NewFlight(reg, "bench", 0), obs.NewAuditor(obs.AuditBMMM, cfg.MAC.RetryLimit),
+				obs.NewDriftMonitor(analysis.RoundModelFor("BMMM"))}
 		})
 	})
 }
@@ -386,7 +396,7 @@ func BenchmarkAblationLocationError(b *testing.B) {
 				tp := topo.Uniform(cfg.Nodes, cfg.Radius, rng)
 				col := metrics.NewCollector()
 				eng := sim.New(sim.Config{Topo: tp, Capture: capture.ZorziRao{},
-					Seed: seed * 31, Observer: col})
+					Seed: seed * 31, Sink: col})
 				eng.AttachMACs(factory)
 				gen := traffic.NewGenerator(tp)
 				gen.Seed = experiments.TrafficSeed(seed)
@@ -425,7 +435,7 @@ func BenchmarkAblationMobility(b *testing.B) {
 				gen.Seed = experiments.TrafficSeed(seed)
 				d.OnRefresh = func(newTp *topo.Topology) { gen.Topo = newTp }
 				col := metrics.NewCollector()
-				eng := sim.New(sim.Config{Topo: tp, Observer: col, Seed: seed,
+				eng := sim.New(sim.Config{Topo: tp, Sink: col, Seed: seed,
 					Capture: capture.ZorziRao{}, SlotHook: d.Hook()})
 				eng.AttachMACs(core.NewLAMM(mac.DefaultConfig()))
 				eng.Run(2000, gen)

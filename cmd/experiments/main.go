@@ -23,6 +23,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -38,9 +39,15 @@ import (
 	_ "net/http/pprof"
 )
 
+// paperExperiments and extensionExperiments are the valid -exp names.
+var (
+	paperExperiments     = []string{"table1", "fig2", "fig5", "fig6a", "fig6b", "fig7", "fig8", "fig9a", "fig9b", "fig10a", "fig10b", "density", "rate", "all"}
+	extensionExperiments = []string{"mobility", "gpserr", "overhead", "fault", "faultburst", "drift"}
+)
+
 func main() {
 	exp := flag.String("exp", "all",
-		"comma-separated experiments: table1,fig2,fig5,fig6a,fig6b,fig7,fig8,fig9a,fig9b,fig10a,fig10b,density,rate,all, plus extensions: mobility,gpserr,overhead,fault,faultburst,drift")
+		"comma-separated experiments: "+strings.Join(paperExperiments, ",")+", plus extensions: "+strings.Join(extensionExperiments, ","))
 	runs := flag.Int("runs", 10, "simulation runs per plotted point (paper: 100)")
 	slots := flag.Int("slots", 10000, "simulated slots per run")
 	out := flag.String("out", "results", "directory for CSV output (empty disables)")
@@ -55,6 +62,28 @@ func main() {
 	phases := flag.Bool("phases", false, "attach the engine phase profiler to every sweep run and print the pooled per-protocol phase breakdown after the sweeps (byte-identical results either way)")
 	flightDir := flag.String("flight-dir", "", fmt.Sprintf("drift experiment: dump per-message lifecycle span traces (JSONL, one file per run) into this directory for any protocol whose weighted drift exceeds experiments.DriftTolerance (%.2f)", experiments.DriftTolerance))
 	flag.Parse()
+
+	// Options treats zero runs or slots as "use the default", so a bad
+	// count is rejected here rather than silently replaced.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"runs", *runs}, {"slots", *slots}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "experiments: -%s %d: need at least 1\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
+	want := map[string]bool{}
+	for _, e := range strings.Split(*exp, ",") {
+		name := strings.TrimSpace(strings.ToLower(e))
+		if !slices.Contains(paperExperiments, name) && !slices.Contains(extensionExperiments, name) {
+			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q; valid: %s\n", name,
+				strings.Join(append(append([]string(nil), paperExperiments...), extensionExperiments...), ","))
+			os.Exit(2)
+		}
+		want[name] = true
+	}
 
 	faultCfg := fault.Config{PER: *per, LocNoise: *locNoise}
 	var ferr error
@@ -98,8 +127,7 @@ func main() {
 		msrv.Extra("sweep", func() any { return st.Snapshot() })
 		experiments.Instrument = func(cfg *experiments.RunConfig) {
 			led := obs.NewLedger(reg, string(cfg.Protocol))
-			cfg.Observers = append(cfg.Observers, led)
-			cfg.SlotObservers = append(cfg.SlotObservers, led)
+			cfg.Sinks = append(cfg.Sinks, led)
 			msrv.AddLedger(string(cfg.Protocol), led)
 		}
 		ln, err := net.Listen("tcp", *listen)
@@ -140,10 +168,6 @@ func main() {
 		o.Protocols = experiments.AllProtocols
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
-	}
 	all := want["all"]
 	anyDensity := all || want["density"] || want["fig6a"] || want["fig9a"] || want["fig10a"]
 	anyRate := all || want["rate"] || want["fig6b"] || want["fig9b"] || want["fig10b"]

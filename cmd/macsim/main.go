@@ -77,6 +77,10 @@ func main() {
 	hold := flag.Bool("hold", false, "with -listen: keep serving after the runs complete until interrupted")
 	flag.Parse()
 
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "macsim: -runs %d: need at least 1\n", *runs)
+		os.Exit(2)
+	}
 	faultCfg := fault.Config{PER: *per, LocNoise: *locNoise}
 	var err error
 	if faultCfg.GE, err = fault.ParseGE(*geSpec); err != nil {
@@ -245,7 +249,7 @@ func main() {
 				cfg.Profiler = pt
 			}
 			if st != nil {
-				cfg.Observers = append(cfg.Observers, st)
+				cfg.Sinks = append(cfg.Sinks, st)
 			}
 			var dm *obs.DriftMonitor
 			if ledgerOn {
@@ -253,20 +257,18 @@ func main() {
 				// the counters accumulate across runs, and the snapshot
 				// endpoint keeps serving the latest instance mid-loop.
 				led := obs.NewLedger(reg, string(p))
-				cfg.Observers = append(cfg.Observers, led)
-				cfg.SlotObservers = append(cfg.SlotObservers, led)
+				cfg.Sinks = append(cfg.Sinks, led)
 				ledgers[string(p)] = led
 				if msrv != nil {
 					msrv.AddLedger(string(p), led)
 				}
 				dm = obs.NewDriftMonitor(analysis.RoundModelFor(string(p)))
-				cfg.Observers = append(cfg.Observers, dm)
+				cfg.Sinks = append(cfg.Sinks, dm)
 			}
 			var tracer *obs.Tracer
 			if *traceFile != "" {
 				tracer = obs.NewTracer(0)
-				tracer.Timing = cfg.MAC.Timing
-				cfg.Observers = append(cfg.Observers, tracer)
+				cfg.Sinks = append(cfg.Sinks, tracer)
 				if msrv != nil {
 					msrv.AddTracer(string(p), tracer)
 				}
@@ -282,9 +284,7 @@ func main() {
 					freg, prefix = reg, string(p)
 				}
 				fl = obs.NewFlight(freg, prefix, 0)
-				fl.Timing = cfg.MAC.Timing
-				cfg.Observers = append(cfg.Observers, fl)
-				cfg.Lifecycles = append(cfg.Lifecycles, fl)
+				cfg.Sinks = append(cfg.Sinks, fl)
 				if msrv != nil {
 					msrv.AddFlight(string(p), fl)
 				}
@@ -293,8 +293,7 @@ func main() {
 			if *auditFile != "" {
 				if ap, ok := obs.AuditProtocolFor(string(p)); ok {
 					aud = obs.NewAuditor(ap, cfg.MAC.RetryLimit)
-					cfg.Observers = append(cfg.Observers, aud)
-					cfg.Lifecycles = append(cfg.Lifecycles, aud)
+					cfg.Sinks = append(cfg.Sinks, aud)
 					if msrv != nil {
 						msrv.AddAuditor(string(p), aud)
 					}
@@ -568,7 +567,7 @@ func renderChart(p experiments.Protocol, nodes int, radius, rate float64,
 	tp := topo.Uniform(nodes, radius, rng)
 	ch := chart.New(tp.N(), 0, sim.Slot(chartSlots-1))
 	ch.ShowLosses = true
-	eng := sim.New(sim.Config{Topo: tp, Capture: capModel, Seed: seed, Tracer: ch})
+	eng := sim.New(sim.Config{Topo: tp, Capture: capModel, Seed: seed, Sink: ch})
 	eng.AttachMACs(factory)
 	gen := traffic.NewGenerator(tp)
 	gen.Rate = rate

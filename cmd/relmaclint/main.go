@@ -1,15 +1,15 @@
 // Command relmaclint runs the project's static-analysis suite
 // (internal/lint) over the module. Since v2 the suite is built on a
 // module-wide call graph and a lightweight dataflow layer: determinism
-// and simsafe are reachability-based, and prngflow, hookpure, maporder
-// and hotalloc guard the observer, map-order and allocation contracts of
-// the slot loop. See the package documentation of internal/lint for the
+// and simsafe are reachability-based, and hookpure, maporder and
+// hotalloc guard the hook, map-order and allocation contracts of the
+// slot loop. See the package documentation of internal/lint for the
 // rules and the //relmac:allow directive syntax.
 //
 // Usage:
 //
 //	go run ./cmd/relmaclint [-json] [-sarif out.sarif] \
-//	    [-checks determinism,prngflow] [-list] [patterns...]
+//	    [-checks determinism,hookpure] [-list] [patterns...]
 //
 // Patterns default to ./... and follow the go tool's convention
 // (testdata, vendor and hidden directories are skipped). -sarif writes a

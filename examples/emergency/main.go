@@ -86,7 +86,7 @@ func main() {
 			gen.Seed = experiments.TrafficSeed(seed)
 
 			col := metrics.NewCollector()
-			eng := sim.New(sim.Config{Topo: tp, Observer: col, Seed: seed * 7, Capture: capture.ZorziRao{}})
+			eng := sim.New(sim.Config{Topo: tp, Sink: col, Seed: seed * 7, Capture: capture.ZorziRao{}})
 			factory, err := experiments.Factory(p, experiments.Defaults(p, seed).MAC)
 			if err != nil {
 				panic(err)

@@ -12,7 +12,6 @@ import (
 	"math"
 
 	"relmac/internal/core"
-	"relmac/internal/frames"
 	"relmac/internal/geom"
 	"relmac/internal/mac"
 	"relmac/internal/metrics"
@@ -21,18 +20,19 @@ import (
 	"relmac/internal/traffic"
 )
 
-// printer traces every transmission to stdout.
+// printer is a sim.Sink tracing every transmission to stdout.
 type printer struct{}
 
-func (printer) TxStart(f *frames.Frame, sender int, start, end sim.Slot) {
-	span := fmt.Sprintf("%d", start)
-	if end != start {
-		span = fmt.Sprintf("%d-%d", start, end)
+func (printer) Kinds() sim.KindSet { return sim.KindsOf(sim.EvFrameTx) }
+
+func (printer) On(ev sim.Event) {
+	span := fmt.Sprintf("%d", ev.Slot)
+	if ev.End() != ev.Slot {
+		span = fmt.Sprintf("%d-%d", ev.Slot, ev.End())
 	}
+	f := ev.Frame
 	fmt.Printf("  slot %-6s  %-4s %s→%s\n", span, f.Type, f.Src, f.Dst)
 }
-func (printer) RxOK(*frames.Frame, int, sim.Slot)   {}
-func (printer) RxLost(*frames.Frame, int, sim.Slot) {}
 
 func main() {
 	seed := flag.Int64("seed", 0, "engine RNG seed (channel randomness: backoff draws, capture)")
@@ -55,7 +55,7 @@ func main() {
 	// Wire up the engine with metrics and a transmission trace, and run
 	// the Location Aware Multicast MAC on every station.
 	col := metrics.NewCollector()
-	eng := sim.New(sim.Config{Topo: tp, Seed: *seed, Observer: col, Tracer: printer{}})
+	eng := sim.New(sim.Config{Topo: tp, Seed: *seed, Sink: sim.Combine(col, printer{})})
 	eng.AttachMACs(core.NewLAMM(mac.DefaultConfig()))
 
 	// Submit one multicast from station 0 to all seven receivers with a

@@ -30,8 +30,8 @@ import (
 )
 
 // flood implements the application layer: a sim.Source that releases the
-// initial RREQ, plus an Observer hook that schedules a rebroadcast the
-// first time a station decodes the flood payload.
+// initial RREQ, plus a sim.Sink that schedules a rebroadcast the first
+// time a station decodes the flood payload.
 type flood struct {
 	metrics.Collector // embeds the regular metrics collection
 
@@ -81,16 +81,16 @@ func (f *flood) Arrivals(now sim.Slot, rng *rand.Rand) []*sim.Request {
 	return reqs
 }
 
-// OnDataRx extends the metrics collector: first reception triggers the
-// station's own rebroadcast after a tiny processing delay.
-func (f *flood) OnDataRx(msgID int64, receiver int, now sim.Slot) {
-	f.Collector.OnDataRx(msgID, receiver, now)
-	if f.seen[receiver] {
+// On extends the metrics collector's sim.Sink: a station's first data
+// reception triggers its own rebroadcast after a tiny processing delay.
+func (f *flood) On(ev sim.Event) {
+	f.Collector.On(ev)
+	if ev.Kind != sim.EvDataRx || f.seen[ev.Station] {
 		return
 	}
-	f.seen[receiver] = true
-	f.seenAt[receiver] = now
-	f.schedule(receiver, now+2)
+	f.seen[ev.Station] = true
+	f.seenAt[ev.Station] = ev.Slot
+	f.schedule(ev.Station, ev.Slot+2)
 }
 
 // coverage returns the fraction of stations reached and the last slot a
@@ -138,7 +138,7 @@ func main() {
 			}
 			fl := newFlood(tp, origin, 200)
 			eng := sim.New(sim.Config{
-				Topo: tp, Observer: fl, Seed: seed, Capture: capture.ZorziRao{},
+				Topo: tp, Sink: fl, Seed: seed, Capture: capture.ZorziRao{},
 			})
 			factory, err := experiments.Factory(p, experiments.Defaults(p, seed).MAC)
 			if err != nil {

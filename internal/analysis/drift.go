@@ -48,7 +48,7 @@ type GroupObs struct {
 // DriftAccum accumulates what a run actually did — per-round service
 // counts (for the empirical per-round success probability p̂) and
 // per-message contention-phase totals by group size — so Summary can
-// hold it against the §6 closed forms. Feed it from a sim.Observer
+// hold it against the §6 closed forms. Feed it from a sim.Sink
 // (obs.DriftMonitor); the accumulator itself is pure bookkeeping with no
 // simulator dependency.
 //

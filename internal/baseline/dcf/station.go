@@ -63,7 +63,7 @@ type Station struct {
 	// (the 802.11 post-backoff rule; see Backoff.BeginDeferred).
 	contended bool
 	// dropHook is the lazily built stale-response callback handed to
-	// Responder.DueReport when a lifecycle observer is attached; caching
+	// Responder.DueReport when a sink wants response drops; caching
 	// it keeps the enabled path free of a per-tick closure allocation.
 	dropHook func(*frames.Frame)
 	// abortHook is the cached deadline-drop callback handed to
@@ -168,11 +168,11 @@ func (st *Station) Wake(idleRun int) { st.hist.Restore(idleRun) }
 // station's history legitimately never observed (crash windows).
 func (st *Station) WakeExtend(skipped int) { st.hist.Extend(skipped) }
 
-// dueResponse pulls the response due this slot. With a lifecycle
-// observer attached, stale responses are reported as they are discarded;
-// without one the pre-hook fast path runs unchanged.
+// dueResponse pulls the response due this slot. With a sink wanting
+// response drops attached, stale responses are reported as they are
+// discarded; without one the plain path runs unchanged.
 func (st *Station) dueResponse(env *sim.Env, now sim.Slot) *frames.Frame {
-	if !env.LifecycleOn() {
+	if !env.Wants(sim.EvResponseDrop) {
 		return st.resp.Due(now)
 	}
 	if st.dropHook == nil {
@@ -217,7 +217,7 @@ func (st *Station) FinishRequest(env *sim.Env, ok bool) {
 }
 
 // StartContention begins a CSMA/CA contention phase for the current
-// request and reports it to the observer (the quantity of Figure 9). The
+// request and emits a contention event (the quantity of Figure 9). The
 // first phase of a fresh message may transmit immediately on an idle
 // medium (CSMA/CA step 2); every subsequent phase — a retry, BMW's next
 // per-receiver round, a later BMMM batch — draws a random backoff, per

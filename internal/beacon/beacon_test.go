@@ -87,7 +87,7 @@ func TestBeaconsDoNotBreakProtocolTraffic(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		tp := topo.Uniform(60, 0.2, rng)
 		col := metrics.NewCollector()
-		eng := sim.New(sim.Config{Topo: tp, Observer: col, Seed: 11})
+		eng := sim.New(sim.Config{Topo: tp, Sink: col, Seed: 11})
 		inner := core.NewBMMM(mac.DefaultConfig())
 		if withBeacons {
 			wrapAll(eng, inner, 400)

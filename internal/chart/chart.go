@@ -23,7 +23,8 @@ import (
 	"relmac/internal/sim"
 )
 
-// Chart implements sim.Tracer and accumulates the diagram.
+// Chart is a sim.Sink accumulating the diagram from frame-tx and
+// rx-lost events.
 type Chart struct {
 	n        int
 	from, to sim.Slot // inclusive window
@@ -67,29 +68,30 @@ func symbol(t frames.Type) rune {
 	}
 }
 
-// TxStart implements sim.Tracer.
-func (c *Chart) TxStart(f *frames.Frame, sender int, start, end sim.Slot) {
-	if sender < 0 || sender >= c.n {
-		return
-	}
-	sym := symbol(f.Type)
-	for s := start; s <= end; s++ {
-		if col, ok := c.col(s); ok {
-			c.grid[sender][col] = sym
+// Kinds implements sim.Sink.
+func (c *Chart) Kinds() sim.KindSet { return sim.KindsOf(sim.EvFrameTx, sim.EvRxLost) }
+
+// On implements sim.Sink: a transmission marks its sender's row over
+// its airtime; a loss, with ShowLosses, marks the receiver's cell.
+func (c *Chart) On(ev sim.Event) {
+	switch ev.Kind {
+	case sim.EvFrameTx:
+		if ev.Station < 0 || ev.Station >= c.n {
+			return
 		}
-	}
-}
-
-// RxOK implements sim.Tracer.
-func (c *Chart) RxOK(f *frames.Frame, receiver int, now sim.Slot) {}
-
-// RxLost implements sim.Tracer.
-func (c *Chart) RxLost(f *frames.Frame, receiver int, now sim.Slot) {
-	if !c.ShowLosses || receiver < 0 || receiver >= c.n {
-		return
-	}
-	if col, ok := c.col(now); ok && c.grid[receiver][col] == '.' {
-		c.grid[receiver][col] = '×'
+		sym := symbol(ev.Frame.Type)
+		for s := ev.Slot; s <= ev.End(); s++ {
+			if col, ok := c.col(s); ok {
+				c.grid[ev.Station][col] = sym
+			}
+		}
+	case sim.EvRxLost:
+		if !c.ShowLosses || ev.Station < 0 || ev.Station >= c.n {
+			return
+		}
+		if col, ok := c.col(ev.Slot); ok && c.grid[ev.Station][col] == '.' {
+			c.grid[ev.Station][col] = '×'
+		}
 	}
 }
 

@@ -14,6 +14,16 @@ import (
 	"relmac/internal/traffic"
 )
 
+// tx hands the chart a frame-tx event spanning [start, end].
+func tx(c *Chart, f *frames.Frame, sender int, start, end sim.Slot) {
+	c.On(sim.Event{Kind: sim.EvFrameTx, Slot: start, Station: sender, Frame: f, A: int(end)})
+}
+
+// lost hands the chart an rx-lost event at the receiver.
+func lost(c *Chart, f *frames.Frame, receiver int, now sim.Slot) {
+	c.On(sim.Event{Kind: sim.EvRxLost, Slot: now, Station: receiver, Frame: f})
+}
+
 func TestSymbols(t *testing.T) {
 	cases := map[frames.Type]rune{
 		frames.RTS: 'R', frames.CTS: 'C', frames.Data: 'D',
@@ -31,8 +41,8 @@ func TestSymbols(t *testing.T) {
 
 func TestChartMarksTransmissions(t *testing.T) {
 	c := New(2, 0, 9)
-	c.TxStart(&frames.Frame{Type: frames.Data}, 0, 2, 6)
-	c.TxStart(&frames.Frame{Type: frames.ACK}, 1, 7, 7)
+	tx(c, &frames.Frame{Type: frames.Data}, 0, 2, 6)
+	tx(c, &frames.Frame{Type: frames.ACK}, 1, 7, 7)
 	out := c.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 {
@@ -48,9 +58,9 @@ func TestChartMarksTransmissions(t *testing.T) {
 
 func TestChartWindowClipping(t *testing.T) {
 	c := New(1, 5, 8)
-	c.TxStart(&frames.Frame{Type: frames.Data}, 0, 3, 10) // overlaps window
-	c.TxStart(&frames.Frame{Type: frames.RTS}, 0, 20, 20) // outside
-	c.TxStart(&frames.Frame{Type: frames.RTS}, 5, 6, 6)   // bad station
+	tx(c, &frames.Frame{Type: frames.Data}, 0, 3, 10) // overlaps window
+	tx(c, &frames.Frame{Type: frames.RTS}, 0, 20, 20) // outside
+	tx(c, &frames.Frame{Type: frames.RTS}, 5, 6, 6)   // bad station
 	row := strings.Split(strings.TrimSpace(c.String()), "\n")[2]
 	if !strings.HasSuffix(row, "|DDDD") {
 		t.Errorf("row = %q", row)
@@ -60,21 +70,21 @@ func TestChartWindowClipping(t *testing.T) {
 func TestChartLossOverlay(t *testing.T) {
 	c := New(2, 0, 4)
 	c.ShowLosses = true
-	c.TxStart(&frames.Frame{Type: frames.RTS}, 0, 1, 1)
-	c.RxLost(&frames.Frame{Type: frames.RTS}, 1, 1)
+	tx(c, &frames.Frame{Type: frames.RTS}, 0, 1, 1)
+	lost(c, &frames.Frame{Type: frames.RTS}, 1, 1)
 	out := c.String()
 	if !strings.Contains(out, "×") {
 		t.Errorf("loss not marked:\n%s", out)
 	}
 	// Losses never overwrite a transmission mark.
-	c.RxLost(&frames.Frame{Type: frames.RTS}, 0, 1)
+	lost(c, &frames.Frame{Type: frames.RTS}, 0, 1)
 	row0 := strings.Split(strings.TrimSpace(c.String()), "\n")[2]
 	if strings.Count(row0, "R") != 1 || strings.Contains(row0, "×") {
 		t.Errorf("loss overwrote a transmission: %q", row0)
 	}
 	// Losses off: no-op.
 	d := New(1, 0, 4)
-	d.RxLost(&frames.Frame{Type: frames.RTS}, 0, 2)
+	lost(d, &frames.Frame{Type: frames.RTS}, 0, 2)
 	if strings.Contains(d.String(), "×") {
 		t.Error("ShowLosses=false must suppress loss marks")
 	}
@@ -82,7 +92,7 @@ func TestChartLossOverlay(t *testing.T) {
 
 func TestDegenerateWindow(t *testing.T) {
 	c := New(1, 5, 2) // to < from: clamped to one column
-	c.TxStart(&frames.Frame{Type: frames.CTS}, 0, 5, 5)
+	tx(c, &frames.Frame{Type: frames.CTS}, 0, 5, 5)
 	if !strings.Contains(c.String(), "C") {
 		t.Error("clamped window lost the mark")
 	}
@@ -98,7 +108,7 @@ func TestLegend(t *testing.T) {
 func TestChartFromSimulation(t *testing.T) {
 	tp := topo.FromPoints([]geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}, 0.2)
 	c := New(tp.N(), 0, 20)
-	eng := sim.New(sim.Config{Topo: tp, Tracer: c})
+	eng := sim.New(sim.Config{Topo: tp, Sink: c})
 	eng.AttachMACs(dcf.NewPlain(mac.DefaultConfig()))
 	script := traffic.NewScript()
 	script.At(5, &sim.Request{ID: 1, Kind: sim.Unicast, Src: 0, Dests: []int{1}, Deadline: 100})

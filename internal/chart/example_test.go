@@ -17,7 +17,7 @@ import (
 func Example() {
 	tp := topo.FromPoints([]geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}, 0.2)
 	c := chart.New(tp.N(), 0, 14)
-	eng := sim.New(sim.Config{Topo: tp, Tracer: c})
+	eng := sim.New(sim.Config{Topo: tp, Sink: c})
 	eng.AttachMACs(dcf.NewPlain(mac.DefaultConfig()))
 	script := traffic.NewScript()
 	script.At(5, &sim.Request{ID: 1, Kind: sim.Unicast, Src: 0, Dests: []int{1}, Deadline: 100})

@@ -44,12 +44,11 @@ func Drift(o Options) (*report.Table, map[Protocol]analysis.DriftSummary, error)
 	_, err := Sweep(1, o.Protocols, o.Runs, func(p int, cfg *RunConfig) {
 		o.apply(cfg)
 		m := obs.NewDriftMonitor(analysis.RoundModelFor(string(cfg.Protocol)))
-		cfg.Observers = append(cfg.Observers, m)
+		cfg.Sinks = append(cfg.Sinks, m)
 		var fl *obs.Flight
 		if o.FlightDir != "" {
 			fl = obs.NewFlight(nil, "", 0)
-			cfg.Observers = append(cfg.Observers, fl)
-			cfg.Lifecycles = append(cfg.Lifecycles, fl)
+			cfg.Sinks = append(cfg.Sinks, fl)
 		}
 		mu.Lock()
 		monitors[cfg.Protocol] = append(monitors[cfg.Protocol], m)

@@ -5,7 +5,7 @@ package experiments_test
 // through the reference path (Config.Reference — idle-station
 // scheduling, the transmission free-list, the geometry caches and the
 // LAMM MCS memo all disabled) must produce identical channel-level
-// transcripts, identical observer event streams and identical metric
+// transcripts, identical traced event streams and identical metric
 // summaries for every protocol. Any output-bit drift introduced by a
 // future optimization fails here with the first diverging event.
 
@@ -17,7 +17,6 @@ import (
 
 	"relmac/internal/experiments"
 	"relmac/internal/fault"
-	"relmac/internal/frames"
 	"relmac/internal/obs"
 	"relmac/internal/sim"
 )
@@ -33,20 +32,24 @@ func (tr *transcript) add(format string, args ...any) {
 	tr.lines = append(tr.lines, fmt.Sprintf(format, args...))
 }
 
-func (tr *transcript) TxStart(f *frames.Frame, sender int, start, end sim.Slot) {
-	tr.add("tx %d->%v %v msg=%d dur=%d [%d,%d]", sender, f.Dst, f.Type, f.MsgID, f.Duration, start, end)
+func (tr *transcript) Kinds() sim.KindSet {
+	return sim.KindsOf(sim.EvFrameTx, sim.EvRxOK, sim.EvRxLost)
 }
 
-func (tr *transcript) RxOK(f *frames.Frame, receiver int, now sim.Slot) {
-	tr.add("rx %d<-%v %v msg=%d @%d", receiver, f.Src, f.Type, f.MsgID, now)
+func (tr *transcript) On(ev sim.Event) {
+	f := ev.Frame
+	switch ev.Kind {
+	case sim.EvFrameTx:
+		tr.add("tx %d->%v %v msg=%d dur=%d [%d,%d]", ev.Station, f.Dst, f.Type, f.MsgID, f.Duration, ev.Slot, ev.End())
+	case sim.EvRxOK:
+		tr.add("rx %d<-%v %v msg=%d @%d", ev.Station, f.Src, f.Type, f.MsgID, ev.Slot)
+	case sim.EvRxLost:
+		tr.add("lost %d<-%v %v msg=%d @%d", ev.Station, f.Src, f.Type, f.MsgID, ev.Slot)
+	}
 }
 
-func (tr *transcript) RxLost(f *frames.Frame, receiver int, now sim.Slot) {
-	tr.add("lost %d<-%v %v msg=%d @%d", receiver, f.Src, f.Type, f.MsgID, now)
-}
-
-// witnesses bundles every equality witness one observer-laden run can
-// produce: the channel transcript, the traced observer event stream,
+// witnesses bundles every equality witness one sink-laden run can
+// produce: the channel transcript, the traced event stream,
 // the metric summary, the airtime ledger snapshot and the conformance
 // auditor's statistics and findings report.
 type witnesses struct {
@@ -57,10 +60,9 @@ type witnesses struct {
 	audit      []byte
 }
 
-// runFull executes one run with the full observer stack attached — the
-// channel tracer, an airtime ledger on both the Observer and the
-// SlotObserver hook, and a conformance auditor on the Observer and
-// Lifecycle hooks — and collects every witness. mutate customises the
+// runFull executes one run with the full sink stack attached — the
+// channel transcript, the event tracer, an airtime ledger and a
+// conformance auditor — and collects every witness. mutate customises the
 // configuration before the run (rate, impairments, slot count).
 func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 	mutate func(cfg *experiments.RunConfig)) witnesses {
@@ -71,7 +73,6 @@ func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 
 	tracer := obs.NewTracer(1 << 20)
 	ch := &transcript{}
-	cfg.Tracer = ch
 	reg := obs.NewRegistry()
 	led := obs.NewLedger(reg, "eq")
 	ap, ok := obs.AuditProtocolFor(string(proto))
@@ -79,9 +80,7 @@ func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 		t.Fatalf("no audit model for %s", proto)
 	}
 	aud := obs.NewAuditor(ap, cfg.MAC.RetryLimit)
-	cfg.Observers = []sim.Observer{tracer, led, aud}
-	cfg.SlotObservers = []sim.SlotObserver{led}
-	cfg.Lifecycles = []sim.LifecycleObserver{aud}
+	cfg.Sinks = []sim.Sink{ch, tracer, led, aud}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -174,7 +173,7 @@ func diffWitnesses(t *testing.T, opt, ref witnesses) {
 		}
 	}
 	if !bytes.Equal(opt.events, ref.events) {
-		t.Error("observer event streams diverged")
+		t.Error("traced event streams diverged")
 	}
 	if !bytes.Equal(opt.summary, ref.summary) {
 		t.Errorf("summaries diverged:\n  optimized: %s\n  reference: %s", opt.summary, ref.summary)

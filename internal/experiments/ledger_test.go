@@ -33,14 +33,13 @@ func TestLedgerConservationAllProtocols(t *testing.T) {
 				cfg.Nodes = 40
 				cfg.Slots = 1500
 				cfg.Fault = imp.fault
-				cfg.Observers = []sim.Observer{led}
-				cfg.SlotObservers = []sim.SlotObserver{led}
+				cfg.Sinks = []sim.Sink{led}
 				if _, err := Run(cfg); err != nil {
 					t.Fatal(err)
 				}
 				snap := led.Snapshot()
 				if snap.TotalSlots != int64(cfg.Slots) {
-					t.Errorf("ledger saw %d slots, want %d (hook must fire once per slot)",
+					t.Errorf("ledger saw %d slots, want %d (slot events must cover every slot)",
 						snap.TotalSlots, cfg.Slots)
 				}
 				if !snap.Conserved() {
@@ -65,8 +64,8 @@ func TestLedgerConservationAllProtocols(t *testing.T) {
 }
 
 // TestLedgerDisabledBitIdentical pins that leaving the ledger (and hence
-// the slot hook) unattached reproduces the exact run: same summary as a
-// ledgered run at the same seed, and no observer-visible difference —
+// its slot events) unattached reproduces the exact run: same summary as a
+// ledgered run at the same seed, and no sink-visible difference —
 // the cheap stand-in for the full PR-4 equivalence suite, which also
 // runs unhooked.
 func TestLedgerDisabledBitIdentical(t *testing.T) {
@@ -77,8 +76,7 @@ func TestLedgerDisabledBitIdentical(t *testing.T) {
 		if withLedger {
 			reg := obs.NewRegistry()
 			led := obs.NewLedger(reg, "BMMM")
-			cfg.Observers = []sim.Observer{led}
-			cfg.SlotObservers = []sim.SlotObserver{led}
+			cfg.Sinks = []sim.Sink{led}
 		}
 		res, err := Run(cfg)
 		if err != nil {

@@ -12,13 +12,15 @@ import (
 
 // submitLog records every request as it reaches a MAC.
 type submitLog struct {
-	sim.NopObserver
 	lines []string
 }
 
-func (l *submitLog) OnSubmit(req *sim.Request, now sim.Slot) {
+func (l *submitLog) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSubmit) }
+
+func (l *submitLog) On(ev sim.Event) {
+	req := ev.Req
 	l.lines = append(l.lines, fmt.Sprintf("id=%d src=%d kind=%v dests=%v arrival=%d @%d",
-		req.ID, req.Src, req.Kind, req.Dests, req.Arrival, now))
+		req.ID, req.Src, req.Kind, req.Dests, req.Arrival, ev.Slot))
 }
 
 // TestPairedTraffic: the traffic generator draws from its own stream, so
@@ -31,7 +33,7 @@ func TestPairedTraffic(t *testing.T) {
 		cfg := experiments.Defaults(proto, 7)
 		cfg.Slots = 3000
 		log := &submitLog{}
-		cfg.Observers = []sim.Observer{log}
+		cfg.Sinks = []sim.Sink{log}
 		if _, err := experiments.Run(cfg); err != nil {
 			t.Fatalf("%s: %v", proto, err)
 		}
@@ -94,6 +96,12 @@ func TestRunRejectsInvalidSize(t *testing.T) {
 		{"radius NaN", func(cfg *experiments.RunConfig) { cfg.Radius = math.NaN() }},
 		{"slots 0", func(cfg *experiments.RunConfig) { cfg.Slots = 0 }},
 		{"slots -5", func(cfg *experiments.RunConfig) { cfg.Slots = -5 }},
+		{"PER 2", func(cfg *experiments.RunConfig) { cfg.Fault.PER = 2 }},
+		{"PER NaN", func(cfg *experiments.RunConfig) { cfg.Fault.PER = math.NaN() }},
+		{"threshold 2", func(cfg *experiments.RunConfig) { cfg.Threshold = 2 }},
+		{"threshold -0.1", func(cfg *experiments.RunConfig) { cfg.Threshold = -0.1 }},
+		{"threshold NaN", func(cfg *experiments.RunConfig) { cfg.Threshold = math.NaN() }},
+		{"timeout -5", func(cfg *experiments.RunConfig) { cfg.Timeout = -5 }},
 	}
 	for _, c := range cases {
 		cfg := experiments.Defaults(experiments.BMMM, 1)

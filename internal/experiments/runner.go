@@ -106,26 +106,12 @@ type RunConfig struct {
 	Fault fault.Config
 	MAC   mac.Config
 	Seed  int64
-	// Observers are attached to the engine alongside the metrics
-	// collector via sim.CombineObservers — the hook for event tracers and
-	// stat registries (internal/obs). Empty keeps the collector-only
-	// fast path.
-	Observers []sim.Observer
-	// SlotObservers are attached to the engine's per-slot channel-state
-	// hook via sim.CombineSlotObservers — the feed for airtime ledgers
-	// (internal/obs). Empty keeps the hook nil, the engine's zero-cost
-	// path.
-	SlotObservers []sim.SlotObserver
-	// Lifecycles are attached to the engine's lifecycle hook via
-	// sim.CombineLifecycleObservers — the fine-grained per-message feed
-	// (service start, round opens, response drops) behind flight
-	// recorders and conformance auditors (internal/obs). Empty keeps the
-	// hook nil, the engine's zero-cost path.
-	Lifecycles []sim.LifecycleObserver
-	// Tracer receives channel-level events (sim.Config.Tracer); nil keeps
-	// tracing off. The equivalence tests use it to compare optimized and
-	// reference transcripts frame by frame.
-	Tracer sim.Tracer
+	// Sinks receive the run's event stream (sim.Config.Sink) alongside
+	// the metrics collector, combined with sim.Combine in this order
+	// after it — the hook for tracers, stat registries, airtime ledgers,
+	// drift monitors, flight recorders and auditors (internal/obs).
+	// Attach each consumer once. Empty keeps the collector-only path.
+	Sinks []sim.Sink
 	// Reference runs the engine's naive path (sim.Config.Reference) and,
 	// for LAMM, disables the MCS memo. Results are bit-identical with the
 	// flag on and off; it exists for equivalence tests and cmd/relbench.
@@ -173,8 +159,9 @@ type RunResult struct {
 }
 
 // Validate reports the first invalid field of the configuration: fewer
-// than one node, a radius that is not positive (NaN included), fewer
-// than one slot, or a generation rate outside [0, 1] (NaN included).
+// than one node, a radius that is not positive, fewer than one slot, a
+// negative timeout, a reliability threshold or generation rate outside
+// [0, 1], or an invalid fault configuration (NaN is invalid everywhere).
 func (cfg RunConfig) Validate() error {
 	switch {
 	case cfg.Nodes < 1:
@@ -183,11 +170,15 @@ func (cfg RunConfig) Validate() error {
 		return fmt.Errorf("experiments: radius %v: must be positive", cfg.Radius)
 	case cfg.Slots < 1:
 		return fmt.Errorf("experiments: slots %d: need at least 1", cfg.Slots)
+	case cfg.Timeout < 0:
+		return fmt.Errorf("experiments: timeout %d: must not be negative", cfg.Timeout)
+	case !(cfg.Threshold >= 0 && cfg.Threshold <= 1):
+		return fmt.Errorf("experiments: threshold %v outside [0,1]", cfg.Threshold)
 	}
 	if err := traffic.ValidateRate(cfg.Rate); err != nil {
 		return fmt.Errorf("experiments: %w", err)
 	}
-	return nil
+	return cfg.Fault.Validate()
 }
 
 // faultSeed derives the impairment seed from the run seed; a distinct
@@ -241,26 +232,23 @@ func Run(cfg RunConfig) (RunResult, error) {
 	rng := mrand.New(mrand.NewSource(cfg.Seed))
 	tp := topo.Uniform(cfg.Nodes, cfg.Radius, rng)
 	col := metrics.NewCollector()
-	observer := sim.Observer(col)
-	if len(cfg.Observers) > 0 {
-		observer = sim.CombineObservers(append([]sim.Observer{col}, cfg.Observers...)...)
+	sink := sim.Sink(col)
+	if len(cfg.Sinks) > 0 {
+		sink = sim.Combine(append([]sim.Sink{col}, cfg.Sinks...)...)
 	}
 	var imp sim.Impairment
 	if inj != nil {
 		imp = inj
 	}
 	eng := sim.New(sim.Config{
-		Topo:         tp,
-		Capture:      cfg.Capture,
-		ErrRate:      cfg.ErrRate,
-		Impairment:   imp,
-		Seed:         cfg.Seed ^ 0x1e3779b97f4a7c15, // decouple channel RNG from topology
-		Observer:     observer,
-		SlotObserver: sim.CombineSlotObservers(cfg.SlotObservers...),
-		Lifecycle:    sim.CombineLifecycleObservers(cfg.Lifecycles...),
-		Tracer:       cfg.Tracer,
-		Reference:    cfg.Reference,
-		Profiler:     cfg.Profiler,
+		Topo:       tp,
+		Capture:    cfg.Capture,
+		ErrRate:    cfg.ErrRate,
+		Impairment: imp,
+		Seed:       cfg.Seed ^ 0x1e3779b97f4a7c15, // decouple channel RNG from topology
+		Sink:       sink,
+		Reference:  cfg.Reference,
+		Profiler:   cfg.Profiler,
 	})
 	eng.AttachMACs(factory)
 	gen := traffic.NewGenerator(tp)
@@ -325,12 +313,12 @@ var Progress ProgressMeter
 
 // Instrument, when non-nil, is invoked on every run configuration after
 // the sweep's own mutation and before the run executes — the hook the
-// cmd layer uses to attach fresh per-run observers (airtime ledgers,
+// cmd layer uses to attach fresh per-run sinks (airtime ledgers,
 // drift monitors) to whole sweeps without touching each sweep function.
 // It is called from worker goroutines, so it must be safe for concurrent
 // use; like Progress it is snapshotted at Sweep entry and must not be
-// mutated while a sweep is in flight. Attached observers must not
-// perturb results (the engine guarantees observer neutrality).
+// mutated while a sweep is in flight. Attached sinks must not perturb
+// results (hookpure holds them to it).
 var Instrument func(cfg *RunConfig)
 
 // Sweep runs `runs` independent simulations for every (point, protocol)

@@ -76,10 +76,10 @@ func (g GilbertElliott) Enabled() bool {
 	return (g.PGoodBad > 0 && g.PERBad > 0) || g.PERGood > 0
 }
 
-// Validate reports an error for out-of-range parameters.
+// Validate reports an error for out-of-range parameters, NaN included.
 func (g GilbertElliott) Validate() error {
 	for _, p := range []float64{g.PGoodBad, g.PBadGood, g.PERGood, g.PERBad} {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("fault: Gilbert–Elliott parameter %v outside [0,1]", p)
 		}
 	}
@@ -100,10 +100,10 @@ type Crash struct {
 // Enabled reports whether nodes ever crash.
 func (c Crash) Enabled() bool { return c.MTTF > 0 && c.MTTR > 0 }
 
-// Validate reports an error for negative means or a half-configured
-// schedule.
+// Validate reports an error for negative (or NaN) means or a
+// half-configured schedule.
 func (c Crash) Validate() error {
-	if c.MTTF < 0 || c.MTTR < 0 {
+	if !(c.MTTF >= 0 && c.MTTR >= 0) {
 		return fmt.Errorf("fault: negative crash interval mean (MTTF=%g, MTTR=%g)", c.MTTF, c.MTTR)
 	}
 	if (c.MTTF > 0) != (c.MTTR > 0) {
@@ -143,13 +143,14 @@ func (c Config) ChannelActive() bool {
 // Active reports whether any impairment axis at all is enabled.
 func (c Config) Active() bool { return c.ChannelActive() || c.LocNoise > 0 }
 
-// Validate reports an error for out-of-range parameters on any axis.
+// Validate reports an error for out-of-range parameters on any axis,
+// NaN included.
 func (c Config) Validate() error {
-	if c.PER < 0 || c.PER > 1 {
+	if !(c.PER >= 0 && c.PER <= 1) {
 		return fmt.Errorf("fault: PER %v outside [0,1]", c.PER)
 	}
-	if c.LocNoise < 0 {
-		return fmt.Errorf("fault: negative LocNoise %v", c.LocNoise)
+	if !(c.LocNoise >= 0) {
+		return fmt.Errorf("fault: LocNoise %v: must be a non-negative number", c.LocNoise)
 	}
 	if err := c.GE.Validate(); err != nil {
 		return err

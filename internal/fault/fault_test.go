@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"relmac/internal/frames"
@@ -45,6 +46,14 @@ func TestFaultConfigValidation(t *testing.T) {
 		{GE: GilbertElliott{PGoodBad: 0.1, PBadGood: -0.2}},
 		{Crash: Crash{MTTF: 100}},         // missing MTTR
 		{Crash: Crash{MTTF: -5, MTTR: 5}}, // negative mean
+		// NaN fails every ordered comparison, so each range check must
+		// be written to reject it.
+		{PER: math.NaN()},
+		{LocNoise: math.NaN()},
+		{GE: GilbertElliott{PGoodBad: math.NaN()}},
+		{GE: GilbertElliott{PGoodBad: 0.1, PBadGood: 0.2, PERBad: math.NaN()}},
+		{Crash: Crash{MTTF: math.NaN(), MTTR: 5}},
+		{Crash: Crash{MTTF: 100, MTTR: math.NaN()}},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

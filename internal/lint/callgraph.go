@@ -50,7 +50,7 @@ const (
 	FactTaintedDraw
 	// FactParamDraw: the function body draws from a *rand.Rand received
 	// as a parameter (or the receiver). Still a shared-stream draw from
-	// an observer hook's point of view; kept apart from FactTaintedDraw
+	// a hook's point of view; kept apart from FactTaintedDraw
 	// so findings can say the caller chose the stream.
 	FactParamDraw
 	// FactEngineWrite: the function body stores through sim.Engine or

@@ -17,10 +17,7 @@ func loadGraphSrc(t *testing.T, name, src string) (*Graph, *Package) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := newTestLoader(t, root)
 	dir := filepath.Join(t.TempDir(), name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -188,10 +185,7 @@ func work() {}
 				t.Fatal(err)
 			}
 		}
-		loader, err := NewLoader(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		loader := newTestLoader(t, dir)
 		pkgs, err := loader.Load([]string{"./..."})
 		if err != nil {
 			t.Fatal(err)
@@ -215,16 +209,16 @@ func work() {}
 	}
 }
 
-// TestMutationGuardPrngflow proves the PRNG-taint check has teeth: a
-// hook implementation that merely counts lints clean, and injecting a
-// single draw from a field-held generator produces exactly one prngflow
-// finding at the hook declaration.
+// TestMutationGuardPrngflow proves hookpure's PRNG-taint half has teeth:
+// a sink that merely counts lints clean, and injecting a single draw
+// from a field-held generator produces exactly one hookpure finding at
+// the hook declaration.
 func TestMutationGuardPrngflow(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const clean = `// Package tapfix is a prngflow mutation-guard fixture.
+	const clean = `// Package tapfix is a PRNG mutation-guard fixture.
 package tapfix
 
 import (
@@ -238,7 +232,8 @@ type tap struct {
 	slots int
 }
 
-func (t *tap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
+func (t *tap) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSlot) }
+func (t *tap) On(ev sim.Event) {
 	t.slots++
 }
 `
@@ -253,10 +248,7 @@ func (t *tap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 		if err := os.WriteFile(filepath.Join(dir, "tapfix.go"), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		loader, err := NewLoader(root)
-		if err != nil {
-			t.Fatal(err)
-		}
+		loader := newTestLoader(t, root)
 		pkg, err := loader.LoadDir(dir, "mutfix/"+name)
 		if err != nil {
 			t.Fatal(err)
@@ -272,8 +264,8 @@ func (t *tap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 		t.Fatalf("mutated fixture: findings = %v, want exactly one", res.Findings)
 	}
 	f := res.Findings[0]
-	if f.Check != "prngflow" || f.Line != 15 || !strings.Contains(f.Message, "PRNG-neutral") {
-		t.Errorf("mutated fixture: got %s, want a prngflow finding at the OnSlot declaration (line 15)", f)
+	if f.Check != "hookpure" || f.Line != 16 || !strings.Contains(f.Message, "PRNG-neutral") {
+		t.Errorf("mutated fixture: got %s, want a hookpure finding at the On declaration (line 16)", f)
 	}
 }
 

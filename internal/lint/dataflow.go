@@ -42,11 +42,11 @@ var engineReadOnly = map[string]bool{
 }
 
 // envReadOnly are the sim.Env methods hook code may call. The Report*
-// dispatchers are deliberately absent: an observer reporting protocol
-// events re-enters the engine's bookkeeping mid-slot.
+// emitters are deliberately absent: a sink reporting protocol events
+// re-enters the engine's bookkeeping mid-slot.
 var envReadOnly = map[string]bool{
 	"Node": true, "Now": true, "Timing": true, "Topo": true, "Neighbors": true,
-	"Pos": true, "CarrierBusy": true, "Transmitting": true, "Rand": true, "LifecycleOn": true,
+	"Pos": true, "CarrierBusy": true, "Transmitting": true, "Rand": true, "Wants": true,
 }
 
 // randStructs are the math/rand and math/rand/v2 receiver types whose

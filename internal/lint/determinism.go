@@ -21,7 +21,7 @@ import (
 // the sim path is flagged when the callee transitively contains a banned
 // call, however many helpers deep. Reachability follows static edges and
 // function-value references only — interface dispatch is the sanctioned
-// attachment boundary (an Observer legitimately installed from outside
+// attachment boundary (a Sink legitimately installed from outside
 // the sim path may read the wall clock; its package is simply not
 // sim-path). Calls that stay inside the sim path are not re-reported:
 // the callee's own package pass flags the fact at its source.

@@ -15,9 +15,9 @@ import (
 // closures, and interface boxing of non-pointer-shaped arguments.
 //
 // The closure follows static calls and function-value references only.
-// Interface dispatch is the attachment boundary: what a Source or
-// Observer allocates is budgeted by its own roots (or by prngflow /
-// hookpure for contract violations), not smeared over the engine's.
+// Interface dispatch is the attachment boundary: what a Source or Sink
+// allocates is budgeted by its own roots (or by hookpure for contract
+// violations), not smeared over the engine's.
 //
 // Exempt, because they are the sanctioned idioms the slot loop is built
 // from:

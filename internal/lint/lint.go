@@ -23,25 +23,19 @@
 //     outside the designated epsilon helpers in arc.go;
 //   - frameswitch: every switch over the frames.Type tag is either
 //     exhaustive against frames.NumTypes or carries a default;
-//   - obswiring: multiple observers are combined with
-//     sim.CombineObservers / MultiObserver, never hand-rolled fan-out
-//     loops, preserving panic attribution;
+//   - obswiring: multiple sinks are combined with sim.Combine /
+//     MultiSink, never hand-rolled fan-out loops, preserving kind
+//     filtering and panic attribution;
 //   - simsafe: no goroutine spawns and no sync.Pool in the packages that
 //     run inside the slot loop, nor reachable from them through static
 //     calls — recycling there must use explicit deterministic free-lists;
 //   - docpresent: every sim-path package carries a package doc comment
 //     stating its role, determinism constraints and entry points;
-//   - prngflow: observer hook implementations (Observer, SlotObserver,
-//     IdleSpanObserver, LifecycleObserver) must not reach a PRNG draw —
-//     a draw inside a hook shifts every later draw in the run, so
-//     attaching the observer changes trajectories;
-//   - hookpure: hooks must not reach a sim.Engine/Env mutation (stores
-//     through engine state, or non-allowlisted Engine/Env method calls);
-//   - profpure: profiler hook implementations (sim.Profiler) must not
-//     reach a PRNG draw or an engine mutation — the profiler's
-//     byte-neutrality contract (attaching it must not change
-//     trajectories) holds exactly as long as its hooks only read clocks
-//     and accumulate counters;
+//   - hookpure: hook implementations (sim.Sink and sim.Profiler) must
+//     not reach a PRNG draw — a draw inside a hook shifts every later
+//     draw in the run, so attaching the hook changes trajectories — nor
+//     a sim.Engine/Env mutation (stores through engine state, or
+//     non-allowlisted Engine/Env method calls);
 //   - maporder: map iteration in sim-path packages must not leak Go's
 //     randomized iteration order — no draws, output, unsorted result
 //     appends or float accumulation in range bodies;
@@ -91,7 +85,7 @@ type Config struct {
 	GeomPaths []string
 	// FramesPath is the package defining the frame Type tag and NumTypes.
 	FramesPath string
-	// SimPkgPath is the package defining Observer and MultiObserver.
+	// SimPkgPath is the package defining Sink, MultiSink and Profiler.
 	SimPkgPath string
 	// EpsFile and EpsIdent designate the epsilon-helper exemption for
 	// floateq: functions declared in EpsFile whose body references
@@ -133,7 +127,7 @@ func DefaultConfig() *Config {
 			"relmac/internal/experiments",
 			// The phase profiler's hooks run inside the slot loop; its
 			// clock is injectable (never a static time.Now call), and
-			// profpure holds its hooks to PRNG/engine neutrality.
+			// hookpure holds its hooks to PRNG/engine neutrality.
 			"relmac/internal/prof",
 		},
 		SerialPaths: []string{
@@ -233,9 +227,7 @@ func Analyzers() []*Analyzer {
 		obswiringAnalyzer,
 		simsafeAnalyzer,
 		docpresentAnalyzer,
-		prngflowAnalyzer,
 		hookpureAnalyzer,
-		profpureAnalyzer,
 		maporderAnalyzer,
 		hotallocAnalyzer,
 	}

@@ -5,47 +5,32 @@ import (
 	"go/types"
 )
 
-// obswiringAnalyzer forbids hand-rolled observer fan-out: a loop over a
-// collection of sim.Observer (or sim.SlotObserver) values that
-// dispatches events on each element bypasses the combinator's
-// per-observer panic attribution (a panicking attachment must identify
-// itself instead of masquerading as an engine bug) and its
-// nil/singleton collapsing. The only place such a loop belongs is the
-// MultiObserver/MultiSlotObserver methods themselves, so those are
-// exempt structurally — everything else must go through
-// sim.CombineObservers / sim.CombineSlotObservers.
+// obswiringAnalyzer forbids hand-rolled sink fan-out: a loop over a
+// collection of sim.Sink values that dispatches events on each element
+// bypasses the combinator's per-sink kind filter and panic attribution
+// (a panicking attachment must identify itself instead of masquerading
+// as an engine bug) and its nil/singleton collapsing. The only place
+// such a loop belongs is the MultiSink methods themselves, so those are
+// exempt structurally — everything else must go through sim.Combine.
 var obswiringAnalyzer = &Analyzer{
 	Name: "obswiring",
-	Doc:  "observer fan-out goes through sim.Combine(Slot)Observers/Multi(Slot)Observer, never hand-rolled loops",
+	Doc:  "sink fan-out goes through sim.Combine/MultiSink, never hand-rolled loops",
 	Run:  runObsWiring,
-}
-
-// observerKinds maps each fanned-out sim interface to its sanctioned
-// combinator function and combinator type.
-var observerKinds = map[string]struct{ combine, multi string }{
-	"Observer":          {"sim.CombineObservers", "MultiObserver"},
-	"SlotObserver":      {"sim.CombineSlotObservers", "MultiSlotObserver"},
-	"LifecycleObserver": {"sim.CombineLifecycleObservers", "MultiLifecycleObserver"},
 }
 
 func runObsWiring(p *Pass) {
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
-			if !ok {
+			if !ok || !isSinkSlice(p, rng.X) {
 				return true
 			}
-			iface, ok := observerElem(p, rng.X)
-			if !ok {
-				return true
-			}
-			kind := observerKinds[iface]
-			if fd := funcFor(file, rng.Pos()); fd != nil && isMultiObserverMethod(p, fd, kind.multi) {
+			if fd := funcFor(file, rng.Pos()); fd != nil && isMultiSinkMethod(p, fd) {
 				return true
 			}
 			// Only dispatch loops are fan-out: the body must call a method
-			// on the iteration variable. Loops that merely collect
-			// observers (as the Combine* functions themselves do) are fine.
+			// on the iteration variable. Loops that merely collect sinks
+			// (as Combine itself does) are fine.
 			val, ok := rng.Value.(*ast.Ident)
 			if !ok || val.Name == "_" {
 				return true
@@ -54,19 +39,18 @@ func runObsWiring(p *Pass) {
 			if obj == nil || !callsMethodOn(p, rng.Body, obj) {
 				return true
 			}
-			p.Reportf(rng.Pos(), "hand-rolled observer fan-out; combine observers with %s to keep panic attribution", kind.combine)
+			p.Reportf(rng.Pos(), "hand-rolled sink fan-out; combine sinks with sim.Combine to keep kind filtering and panic attribution")
 			return true
 		})
 	}
 }
 
-// observerElem reports whether the expression is a slice/array whose
-// element type is one of the fanned-out sim observer interfaces, and
-// which one.
-func observerElem(p *Pass, e ast.Expr) (string, bool) {
+// isSinkSlice reports whether the expression is a slice or array of
+// sim.Sink.
+func isSinkSlice(p *Pass, e ast.Expr) bool {
 	tv, ok := p.Info.Types[e]
 	if !ok || tv.Type == nil {
-		return "", false
+		return false
 	}
 	var elem types.Type
 	switch t := tv.Type.Underlying().(type) {
@@ -75,26 +59,24 @@ func observerElem(p *Pass, e ast.Expr) (string, bool) {
 	case *types.Array:
 		elem = t.Elem()
 	default:
-		return "", false
+		return false
 	}
-	named, ok := elem.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := named.Obj()
-	if _, watched := observerKinds[obj.Name()]; !watched {
-		return "", false
-	}
-	if obj.Pkg() == nil || obj.Pkg().Path() != p.Cfg.SimPkgPath {
-		return "", false
-	}
-	return obj.Name(), true
+	return isSimNamed(p, elem, "Sink")
 }
 
-// isMultiObserverMethod reports whether the function is a method on the
-// named sim combinator type — the one sanctioned fan-out site for its
-// interface.
-func isMultiObserverMethod(p *Pass, fd *ast.FuncDecl, multi string) bool {
+// isSimNamed reports whether t is the named type of the sim package.
+func isSimNamed(p *Pass, t types.Type, name string) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == p.Cfg.SimPkgPath
+}
+
+// isMultiSinkMethod reports whether the function is a method on
+// sim.MultiSink — the one sanctioned fan-out site.
+func isMultiSinkMethod(p *Pass, fd *ast.FuncDecl) bool {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return false
 	}
@@ -106,12 +88,7 @@ func isMultiObserverMethod(p *Pass, fd *ast.FuncDecl, multi string) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == multi && obj.Pkg() != nil && obj.Pkg().Path() == p.Cfg.SimPkgPath
+	return isSimNamed(p, t, "MultiSink")
 }
 
 // callsMethodOn reports whether the body contains a method call whose

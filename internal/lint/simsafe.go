@@ -28,7 +28,7 @@ import (
 // Since v2 the check also follows static calls out of the serial set: a
 // helper chain that ends in a go statement is flagged at the call site
 // where the serial path escapes, with the offending path in the message.
-// Interface dispatch is not followed — attaching a concurrent observer
+// Interface dispatch is not followed — attaching a concurrent sink
 // is a deliberate act by the code outside the loop that owns it.
 var simsafeAnalyzer = &Analyzer{
 	Name: "simsafe",

@@ -1,20 +1,55 @@
-// Package bad implements observer hooks that steer the simulation they
-// are supposed to observe: each reaches a mutating sim.Env dispatcher,
-// re-entering the engine's per-slot bookkeeping from measurement code.
+// Package bad implements hooks that break the observation contract
+// hookpure enforces: sinks and profilers that consume pseudo-randomness
+// (shifting every later draw in the run) or steer the simulation they
+// are supposed to observe (re-entering the engine's bookkeeping).
+//
+// The Env.Report* emitters hand their event to the attached sinks, so
+// every hook that calls one also reaches, through that dispatch, the
+// draw in jitterTap.On — a second, genuine finding on the same line.
 package bad
 
 import (
+	"math/rand"
+
 	"relmac/internal/sim"
 )
 
-// reinjector aborts a request from inside a slot hook — a direct
+// jitterTap draws directly from a field-held generator inside its hook:
+// the receiver-rooted *rand.Rand is tainted provenance.
+type jitterTap struct {
+	rng *rand.Rand
+}
+
+func (t *jitterTap) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSlot) }
+
+func (t *jitterTap) On(ev sim.Event) { // want `hook \(bad\.jitterTap\)\.On reaches a PRNG draw`
+	_ = t.rng.Intn(8)
+}
+
+// globalTap reaches the global math/rand stream two calls deep; the
+// call-graph closure still attributes the draw to the hook.
+type globalTap struct{}
+
+func (globalTap) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSlot) }
+
+func (globalTap) On(ev sim.Event) { // want `hook \(bad\.globalTap\)\.On reaches a PRNG draw`
+	jitter()
+}
+
+func jitter() int { return pick() }
+
+func pick() int { return rand.Intn(3) }
+
+// reinjector aborts a request from inside its hook — a direct
 // engine-state mutation.
 type reinjector struct {
 	env *sim.Env
 	req *sim.Request
 }
 
-func (r *reinjector) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) { // want `observer hook \(bad\.reinjector\)\.OnSlot reaches a sim\.Engine/Env mutation`
+func (r *reinjector) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSlot) }
+
+func (r *reinjector) On(ev sim.Event) { // want `hook \(bad\.reinjector\)\.On reaches a sim\.Engine/Env mutation` want `hook \(bad\.reinjector\)\.On reaches a PRNG draw`
 	r.env.ReportAbort(r.req, sim.AbortDeadline)
 }
 
@@ -24,10 +59,42 @@ type dropForger struct {
 	env *sim.Env
 }
 
-func (d *dropForger) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) { // want `observer hook \(bad\.dropForger\)\.OnSlot reaches a sim\.Engine/Env mutation`
+func (d *dropForger) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSlot) }
+
+func (d *dropForger) On(ev sim.Event) { // want `hook \(bad\.dropForger\)\.On reaches a sim\.Engine/Env mutation` want `hook \(bad\.dropForger\)\.On reaches a PRNG draw`
 	forge(d.env)
 }
 
 func forge(env *sim.Env) {
 	env.ReportResponseDrop(nil)
+}
+
+// drawTimer draws from a field-held generator inside Enter: a draw per
+// phase transition perturbs the whole trajectory.
+type drawTimer struct {
+	rng *rand.Rand
+	acc [sim.NumPhases]int64
+}
+
+func (t *drawTimer) RunStart() {}
+
+func (t *drawTimer) Enter(p sim.Phase) { // want `hook \(bad\.drawTimer\)\.Enter reaches a PRNG draw`
+	t.acc[int(p)] += int64(t.rng.Intn(8))
+}
+
+func (t *drawTimer) RunEnd() {}
+
+// steerTimer aborts a request from inside RunEnd — profiler code
+// re-entering the engine's bookkeeping.
+type steerTimer struct {
+	env *sim.Env
+	req *sim.Request
+}
+
+func (s *steerTimer) RunStart() {}
+
+func (s *steerTimer) Enter(sim.Phase) {}
+
+func (s *steerTimer) RunEnd() { // want `hook \(bad\.steerTimer\)\.RunEnd reaches a sim\.Engine/Env mutation` want `hook \(bad\.steerTimer\)\.RunEnd reaches a PRNG draw`
+	s.env.ReportAbort(s.req, sim.AbortDeadline)
 }

@@ -1,65 +1,34 @@
-// Package fix exercises the obswiring check against the real sim
-// Observer interface.
+// Package fix exercises the obswiring check against the real sim Sink
+// interface.
 package fix
 
 import "relmac/internal/sim"
 
-// fanOut dispatches events by hand, bypassing MultiObserver's panic
-// attribution: flagged.
-func fanOut(obs []sim.Observer, req *sim.Request, now sim.Slot) {
-	for _, o := range obs { // want `hand-rolled observer fan-out`
-		o.OnComplete(req, now)
+// fanOut dispatches events by hand, bypassing MultiSink's kind filter
+// and panic attribution: flagged.
+func fanOut(sinks []sim.Sink, ev sim.Event) {
+	for _, s := range sinks { // want `hand-rolled sink fan-out.*sim\.Combine`
+		s.On(ev)
 	}
 }
 
-// collect only gathers observers and hands them to the sanctioned
+// fanOutArray dispatches over an array just the same: flagged.
+func fanOutArray(sinks [2]sim.Sink, ev sim.Event) {
+	for _, s := range sinks { // want `hand-rolled sink fan-out`
+		if s.Kinds().Has(ev.Kind) {
+			s.On(ev)
+		}
+	}
+}
+
+// collect only gathers sinks and hands them to the sanctioned
 // combinator: not a dispatch loop.
-func collect(obs []sim.Observer) sim.Observer {
-	kept := make([]sim.Observer, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			kept = append(kept, o)
+func collect(sinks []sim.Sink) sim.Sink {
+	kept := make([]sim.Sink, 0, len(sinks))
+	for _, s := range sinks {
+		if s != nil {
+			kept = append(kept, s)
 		}
 	}
-	return sim.CombineObservers(kept...)
-}
-
-// fanOutSlots hand-dispatches the per-slot channel-state hook, bypassing
-// MultiSlotObserver's panic attribution: flagged.
-func fanOutSlots(obs []sim.SlotObserver, now sim.Slot, airing []sim.AiringTx) {
-	for _, o := range obs { // want `hand-rolled observer fan-out.*CombineSlotObservers`
-		o.OnSlot(now, airing, false)
-	}
-}
-
-// collectSlots gathers slot observers for the sanctioned combinator:
-// not a dispatch loop.
-func collectSlots(obs []sim.SlotObserver) sim.SlotObserver {
-	kept := make([]sim.SlotObserver, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			kept = append(kept, o)
-		}
-	}
-	return sim.CombineSlotObservers(kept...)
-}
-
-// fanOutLifecycle hand-dispatches the lifecycle hook, bypassing
-// MultiLifecycleObserver's panic attribution: flagged.
-func fanOutLifecycle(obs []sim.LifecycleObserver, req *sim.Request, now sim.Slot) {
-	for _, o := range obs { // want `hand-rolled observer fan-out.*CombineLifecycleObservers`
-		o.OnServiceStart(req, now)
-	}
-}
-
-// collectLifecycle gathers lifecycle observers for the sanctioned
-// combinator: not a dispatch loop.
-func collectLifecycle(obs []sim.LifecycleObserver) sim.LifecycleObserver {
-	kept := make([]sim.LifecycleObserver, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			kept = append(kept, o)
-		}
-	}
-	return sim.CombineLifecycleObservers(kept...)
+	return sim.Combine(kept...)
 }

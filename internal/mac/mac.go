@@ -445,7 +445,7 @@ func (r *Responder) Due(now sim.Slot) *frames.Frame {
 }
 
 // DueReport is Due with stale-drop accounting: every discarded frame is
-// handed to dropped before removal, so a lifecycle observer can see the
+// handed to dropped before removal, so an event sink can see the
 // responses that silently died waiting for the medium. Due stays the
 // separate fast path — it runs every tick of every awake station.
 func (r *Responder) DueReport(now sim.Slot, dropped func(*frames.Frame)) *frames.Frame {

@@ -1,28 +1,31 @@
-package metrics
+package metrics_test
 
 import (
 	"testing"
 
 	"relmac/internal/frames"
+	"relmac/internal/metrics"
 	"relmac/internal/obs"
+	"relmac/internal/prototest"
 	"relmac/internal/sim"
 )
 
 func TestFeedRegistry(t *testing.T) {
-	c := NewCollector()
+	c := metrics.NewCollector()
+	in := prototest.Feed{Sink: c}
 
 	// Message 1: two contention phases, completed at slot 50.
 	r1 := submit(c, 1, sim.Multicast, []int{1, 2}, 10, 110)
-	c.OnContention(r1, 11)
-	c.OnContention(r1, 30)
-	c.OnFrameTx(&frames.Frame{Type: frames.RTS}, 0, 12)
-	c.OnFrameTx(&frames.Frame{Type: frames.Data}, 0, 14)
-	c.OnComplete(r1, 50)
+	in.Contention(r1, 11)
+	in.Contention(r1, 30)
+	in.FrameTx(&frames.Frame{Type: frames.RTS}, 0, 12)
+	in.FrameTx(&frames.Frame{Type: frames.Data}, 0, 14)
+	in.Complete(r1, 50)
 
 	// Message 2: aborted at its deadline after one raking round.
 	r2 := submit(c, 2, sim.Broadcast, []int{1}, 20, 60)
-	c.OnRound(r2, 1, 40)
-	c.OnAbort(r2, sim.AbortDeadline, 61)
+	in.Round(r2, 1, 40)
+	in.Abort(r2, sim.AbortDeadline, 61)
 
 	reg := obs.NewRegistry()
 	c.FeedRegistry(reg, "LAMM")
@@ -51,9 +54,10 @@ func TestFeedRegistry(t *testing.T) {
 	}
 
 	// Feeding a second collector aggregates into the same instruments.
-	c2 := NewCollector()
+	c2 := metrics.NewCollector()
+	in2 := prototest.Feed{Sink: c2}
 	r3 := submit(c2, 3, sim.Multicast, []int{1}, 0, 100)
-	c2.OnComplete(r3, 20)
+	in2.Complete(r3, 20)
 	c2.FeedRegistry(reg, "LAMM")
 	if got := reg.Counter("LAMM.messages").Value(); got != 3 {
 		t.Errorf("aggregated messages = %d, want 3", got)
@@ -63,9 +67,10 @@ func TestFeedRegistry(t *testing.T) {
 // TestFrameCounterCoversAllTypes guards the frames.NumTypes-sized
 // counter array: every declared frame type must be countable.
 func TestFrameCounterCoversAllTypes(t *testing.T) {
-	c := NewCollector()
+	c := metrics.NewCollector()
+	in := prototest.Feed{Sink: c}
 	for _, ft := range frames.Types() {
-		c.OnFrameTx(&frames.Frame{Type: ft}, 0, 0)
+		in.FrameTx(&frames.Frame{Type: ft}, 0, 0)
 	}
 	for _, ft := range frames.Types() {
 		if got := c.FrameCount(ft); got != 1 {

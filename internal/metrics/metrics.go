@@ -7,8 +7,8 @@
 //   - average number of contention phases per message (Figure 9);
 //   - average message completion time (Figure 10).
 //
-// A Collector implements sim.Observer and is attached to one engine run;
-// cross-run aggregation lives in the stats helpers.
+// A Collector is a sim.Sink attached to one engine run; cross-run
+// aggregation lives in the stats helpers.
 package metrics
 
 import (
@@ -81,7 +81,9 @@ func (r *Record) Successful(threshold float64) bool {
 // meaningful only when Completed.
 func (r *Record) CompletionTime() sim.Slot { return r.CompletedAt - r.Arrival }
 
-// Collector implements sim.Observer, accumulating Records.
+// Collector is a sim.Sink accumulating Records from the seven
+// protocol-level event kinds; it never asks for per-slot or
+// per-reception events.
 type Collector struct {
 	records []*Record
 	byID    map[int64]*Record
@@ -93,38 +95,57 @@ func NewCollector() *Collector {
 	return &Collector{byID: make(map[int64]*Record)}
 }
 
-// OnSubmit implements sim.Observer.
-func (c *Collector) OnSubmit(req *sim.Request, now sim.Slot) {
-	r := &Record{
-		ID:        req.ID,
-		Kind:      req.Kind,
-		Src:       req.Src,
-		Intended:  len(req.Dests),
-		Arrival:   req.Arrival,
-		Deadline:  req.Deadline,
-		intended:  append([]int(nil), req.Dests...),
-		delivered: make([]bool, len(req.Dests)),
+// Kinds implements sim.Sink: the seven protocol-level kinds.
+func (c *Collector) Kinds() sim.KindSet { return sim.ProtocolKinds }
+
+// On implements sim.Sink.
+func (c *Collector) On(ev sim.Event) {
+	switch ev.Kind {
+	case sim.EvSubmit:
+		req := ev.Req
+		r := &Record{
+			ID:        req.ID,
+			Kind:      req.Kind,
+			Src:       req.Src,
+			Intended:  len(req.Dests),
+			Arrival:   req.Arrival,
+			Deadline:  req.Deadline,
+			intended:  append([]int(nil), req.Dests...),
+			delivered: make([]bool, len(req.Dests)),
+		}
+		c.records = append(c.records, r)
+		c.byID[req.ID] = r
+	case sim.EvFrameTx:
+		if t := ev.Frame.Type; int(t) < len(c.frames) {
+			c.frames[t]++
+		}
+	case sim.EvDataRx:
+		c.dataRx(ev.Frame.MsgID, ev.Station)
+	default:
+		r := c.byID[ev.Req.ID]
+		if r == nil {
+			return
+		}
+		switch ev.Kind {
+		case sim.EvContention:
+			r.Contentions++
+		case sim.EvRound:
+			r.Rounds++
+			r.Residual = ev.A
+		case sim.EvComplete:
+			if !r.Completed {
+				r.Completed = true
+				r.CompletedAt = ev.Slot
+			}
+		case sim.EvAbort:
+			r.Aborted = true
+			r.AbortReason = ev.Reason()
+		}
 	}
-	c.records = append(c.records, r)
-	c.byID[req.ID] = r
 }
 
-// OnContention implements sim.Observer.
-func (c *Collector) OnContention(req *sim.Request, now sim.Slot) {
-	if r := c.byID[req.ID]; r != nil {
-		r.Contentions++
-	}
-}
-
-// OnFrameTx implements sim.Observer.
-func (c *Collector) OnFrameTx(f *frames.Frame, sender int, now sim.Slot) {
-	if int(f.Type) < len(c.frames) {
-		c.frames[f.Type]++
-	}
-}
-
-// OnDataRx implements sim.Observer.
-func (c *Collector) OnDataRx(msgID int64, receiver int, now sim.Slot) {
+// dataRx marks the receiver's first decode of the message's DATA.
+func (c *Collector) dataRx(msgID int64, receiver int) {
 	r := c.byID[msgID]
 	if r == nil {
 		return
@@ -137,30 +158,6 @@ func (c *Collector) OnDataRx(msgID int64, receiver int, now sim.Slot) {
 			}
 			return
 		}
-	}
-}
-
-// OnComplete implements sim.Observer.
-func (c *Collector) OnComplete(req *sim.Request, now sim.Slot) {
-	if r := c.byID[req.ID]; r != nil && !r.Completed {
-		r.Completed = true
-		r.CompletedAt = now
-	}
-}
-
-// OnRound implements sim.Observer.
-func (c *Collector) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	if r := c.byID[req.ID]; r != nil {
-		r.Rounds++
-		r.Residual = residual
-	}
-}
-
-// OnAbort implements sim.Observer.
-func (c *Collector) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	if r := c.byID[req.ID]; r != nil {
-		r.Aborted = true
-		r.AbortReason = reason
 	}
 }
 

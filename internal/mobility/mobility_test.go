@@ -138,7 +138,7 @@ func TestProtocolsUnderMobility(t *testing.T) {
 			gen.Seed = seed
 			d.OnRefresh = func(newTp *topo.Topology) { gen.Topo = newTp }
 			col := metrics.NewCollector()
-			eng := sim.New(sim.Config{Topo: tp, Observer: col, Seed: seed, SlotHook: d.Hook()})
+			eng := sim.New(sim.Config{Topo: tp, Sink: col, Seed: seed, SlotHook: d.Hook()})
 			eng.AttachMACs(core.NewLAMM(mac.DefaultConfig()))
 			eng.Run(4000, gen)
 			s := col.Summarize(0.9, metrics.GroupFilter(4000))

@@ -12,11 +12,6 @@ import (
 	"relmac/internal/sim"
 )
 
-var (
-	_ sim.Observer          = (*Auditor)(nil)
-	_ sim.LifecycleObserver = (*Auditor)(nil)
-)
-
 // AuditProtocol selects which protocol state machine the Auditor checks
 // observed frame sequences against.
 type AuditProtocol uint8
@@ -168,9 +163,8 @@ type auditMsg struct {
 // CTS transmitted" is a true violation, while a transmitted-but-collided
 // CTS never produces a false positive.
 //
-// It implements sim.Observer and sim.LifecycleObserver; unicast traffic
-// is ignored. All methods take an internal lock so HTTP snapshot readers
-// can observe a live run.
+// It is a sim.Sink; unicast traffic is ignored. All methods take an
+// internal lock so HTTP snapshot readers can observe a live run.
 type Auditor struct {
 	proto      AuditProtocol
 	retryLimit int
@@ -207,28 +201,53 @@ func (a *Auditor) flag(msgID int64, now sim.Slot, station int, rule, format stri
 	}
 }
 
-// OnSubmit implements sim.Observer.
-func (a *Auditor) OnSubmit(req *sim.Request, now sim.Slot) {
-	if req.Kind == sim.Unicast {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.audited++
-	a.msgs[req.ID] = &auditMsg{src: req.Src, dests: len(req.Dests), lastResidual: len(req.Dests)}
+// Kinds implements sim.Sink.
+func (a *Auditor) Kinds() sim.KindSet {
+	return sim.KindsOf(sim.EvSubmit, sim.EvServiceStart, sim.EvContention, sim.EvRoundStart,
+		sim.EvFrameTx, sim.EvRound, sim.EvComplete, sim.EvAbort)
 }
 
-// OnServiceStart implements sim.LifecycleObserver.
-func (a *Auditor) OnServiceStart(req *sim.Request, now sim.Slot) {
+// On implements sim.Sink.
+func (a *Auditor) On(ev sim.Event) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if ev.Kind == sim.EvFrameTx {
+		if m := a.msgs[ev.Frame.MsgID]; m != nil {
+			a.frameTx(m, ev.Frame, ev.Station, ev.Slot)
+		}
+		return
+	}
+	req, now := ev.Req, ev.Slot
 	if req.Kind == sim.Unicast {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	if ev.Kind == sim.EvSubmit {
+		a.audited++
+		a.msgs[req.ID] = &auditMsg{src: req.Src, dests: len(req.Dests), lastResidual: len(req.Dests)}
+		return
+	}
 	m := a.msgs[req.ID]
 	if m == nil {
 		return
 	}
+	switch ev.Kind {
+	case sim.EvServiceStart:
+		a.serviceStart(m, req, now)
+	case sim.EvContention:
+		a.contention(m, req, now)
+	case sim.EvRoundStart:
+		a.roundStart(m, req, ev.A, ev.B, now)
+	case sim.EvRound:
+		a.round(m, req, ev.A, now)
+	case sim.EvComplete:
+		a.complete(m, req, now)
+	case sim.EvAbort:
+		a.abort(m, req, ev.Reason(), now)
+	}
+}
+
+// serviceStart audits a service start.
+func (a *Auditor) serviceStart(m *auditMsg, req *sim.Request, now sim.Slot) {
 	switch {
 	case m.closed:
 		a.flag(req.ID, now, req.Src, "service-after-close", "message re-entered service after its terminal event")
@@ -238,17 +257,8 @@ func (a *Auditor) OnServiceStart(req *sim.Request, now sim.Slot) {
 	m.started = true
 }
 
-// OnContention implements sim.Observer.
-func (a *Auditor) OnContention(req *sim.Request, now sim.Slot) {
-	if req.Kind == sim.Unicast {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[req.ID]
-	if m == nil {
-		return
-	}
+// contention audits a contention begin.
+func (a *Auditor) contention(m *auditMsg, req *sim.Request, now sim.Slot) {
 	if !m.started {
 		a.flag(req.ID, now, req.Src, "contention-before-service", "contention begun before service start")
 	}
@@ -260,17 +270,8 @@ func (a *Auditor) OnContention(req *sim.Request, now sim.Slot) {
 	m.exRTS, m.exCTS, m.exNonSupCTS, m.exData, m.exRAK = 0, 0, 0, 0, 0
 }
 
-// OnRoundStart implements sim.LifecycleObserver.
-func (a *Auditor) OnRoundStart(req *sim.Request, round, polled int, now sim.Slot) {
-	if req.Kind == sim.Unicast {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[req.ID]
-	if m == nil {
-		return
-	}
+// roundStart audits a round opening.
+func (a *Auditor) roundStart(m *auditMsg, req *sim.Request, round, polled int, now sim.Slot) {
 	switch {
 	case !a.proto.rounds():
 		a.flag(req.ID, now, req.Src, "illegal-round", "%s has no rounds, round %d reported", a.proto, round)
@@ -309,14 +310,8 @@ func (a *Auditor) OnRoundStart(req *sim.Request, round, polled int, now sim.Slot
 	m.roundSupCTS = 0
 }
 
-// OnFrameTx implements sim.Observer.
-func (a *Auditor) OnFrameTx(f *frames.Frame, sender int, now sim.Slot) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[f.MsgID]
-	if m == nil {
-		return
-	}
+// frameTx audits a frame transmission attributed to the message.
+func (a *Auditor) frameTx(m *auditMsg, f *frames.Frame, sender int, now sim.Slot) {
 	if sender != m.src {
 		a.receiverFrame(m, f, sender, now)
 		return
@@ -407,24 +402,8 @@ func (a *Auditor) receiverFrame(m *auditMsg, f *frames.Frame, sender int, now si
 	}
 }
 
-// OnDataRx implements sim.Observer; reception carries no grammar.
-func (a *Auditor) OnDataRx(msgID int64, receiver int, now sim.Slot) {}
-
-// OnResponseDrop implements sim.LifecycleObserver; a stale response
-// silently discarded is lossy but legal.
-func (a *Auditor) OnResponseDrop(station int, f *frames.Frame, now sim.Slot) {}
-
-// OnRound implements sim.Observer: one round closed with the residual.
-func (a *Auditor) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	if req.Kind == sim.Unicast {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[req.ID]
-	if m == nil {
-		return
-	}
+// round audits one round closed with the residual.
+func (a *Auditor) round(m *auditMsg, req *sim.Request, residual int, now sim.Slot) {
 	if !a.proto.rounds() {
 		a.flag(req.ID, now, req.Src, "illegal-round", "%s has no rounds, residual %d reported", a.proto, residual)
 		return
@@ -462,17 +441,8 @@ func (a *Auditor) OnRound(req *sim.Request, residual int, now sim.Slot) {
 	m.roundOpen = false
 }
 
-// OnComplete implements sim.Observer.
-func (a *Auditor) OnComplete(req *sim.Request, now sim.Slot) {
-	if req.Kind == sim.Unicast {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[req.ID]
-	if m == nil {
-		return
-	}
+// complete audits a completion.
+func (a *Auditor) complete(m *auditMsg, req *sim.Request, now sim.Slot) {
 	if m.closed {
 		a.flag(req.ID, now, req.Src, "double-terminal", "completion after a terminal event")
 	}
@@ -490,17 +460,8 @@ func (a *Auditor) OnComplete(req *sim.Request, now sim.Slot) {
 	m.closed = true
 }
 
-// OnAbort implements sim.Observer.
-func (a *Auditor) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	if req.Kind == sim.Unicast {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[req.ID]
-	if m == nil {
-		return
-	}
+// abort audits an abort.
+func (a *Auditor) abort(m *auditMsg, req *sim.Request, reason sim.AbortReason, now sim.Slot) {
 	if m.closed {
 		a.flag(req.ID, now, req.Src, "double-terminal", "abort after a terminal event")
 	}

@@ -12,6 +12,7 @@ import (
 	"relmac/internal/geom"
 	"relmac/internal/mac"
 	"relmac/internal/obs"
+	"relmac/internal/prototest"
 	"relmac/internal/sim"
 	"relmac/internal/topo"
 	"relmac/internal/traffic"
@@ -56,8 +57,7 @@ func TestAuditorCleanRuns(t *testing.T) {
 				t.Fatalf("no audit model for %s", proto)
 			}
 			aud := obs.NewAuditor(ap, cfg.MAC.RetryLimit)
-			cfg.Observers = append(cfg.Observers, aud)
-			cfg.Lifecycles = append(cfg.Lifecycles, aud)
+			cfg.Sinks = append(cfg.Sinks, aud)
 			if _, err := experiments.Run(cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -74,38 +74,50 @@ func TestAuditorCleanRuns(t *testing.T) {
 	}
 }
 
+// auditor pairs an Auditor with a Feed, so the synthetic streams below
+// read as the event sequences they are.
+type auditor struct {
+	*obs.Auditor
+	prototest.Feed
+}
+
+func newAuditor(p obs.AuditProtocol, retryLimit int) auditor {
+	a := obs.NewAuditor(p, retryLimit)
+	return auditor{a, prototest.Feed{Sink: a}}
+}
+
 // batchPrefix drives an auditor through the legal opening of a BMMM
 // exchange — submit, service, round 1 polling three receivers, a won
 // contention and the three RTS/CTS polls — and returns the request.
-func batchPrefix(a *obs.Auditor) *sim.Request {
+func batchPrefix(a auditor) *sim.Request {
 	req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1, 2, 3}}
-	a.OnSubmit(req, 0)
-	a.OnServiceStart(req, 0)
-	a.OnRoundStart(req, 1, 3, 0)
-	a.OnContention(req, 0)
+	a.Submit(req, 0)
+	a.ServiceStart(req, 0)
+	a.RoundStart(req, 1, 3, 0)
+	a.Contention(req, 0)
 	for i := 1; i <= 3; i++ {
-		a.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: frames.Addr(i)}, 0, sim.Slot(2*i))
-		a.OnFrameTx(&frames.Frame{Type: frames.CTS, MsgID: 1, Dst: 0}, i, sim.Slot(2*i+1))
+		a.FrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: frames.Addr(i)}, 0, sim.Slot(2*i))
+		a.FrameTx(&frames.Frame{Type: frames.CTS, MsgID: 1, Dst: 0}, i, sim.Slot(2*i+1))
 	}
 	return req
 }
 
 // finishBatch legally completes a batchPrefix exchange: DATA, the three
 // RAK/ACK polls, a residual-0 round close and the completion.
-func finishBatch(a *obs.Auditor, req *sim.Request) {
-	a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
+func finishBatch(a auditor, req *sim.Request) {
+	a.FrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
 	for i := 1; i <= 3; i++ {
-		a.OnFrameTx(&frames.Frame{Type: frames.RAK, MsgID: 1, Dst: frames.Addr(i)}, 0, sim.Slot(12+2*i))
-		a.OnFrameTx(&frames.Frame{Type: frames.ACK, MsgID: 1, Dst: 0}, i, sim.Slot(13+2*i))
+		a.FrameTx(&frames.Frame{Type: frames.RAK, MsgID: 1, Dst: frames.Addr(i)}, 0, sim.Slot(12+2*i))
+		a.FrameTx(&frames.Frame{Type: frames.ACK, MsgID: 1, Dst: 0}, i, sim.Slot(13+2*i))
 	}
-	a.OnRound(req, 0, 19)
-	a.OnComplete(req, 19)
+	a.Round(req, 0, 19)
+	a.Complete(req, 19)
 }
 
 // TestAuditorLegalExchange pins the zero-violation baseline for the
 // synthetic event stream the mutation tests perturb.
 func TestAuditorLegalExchange(t *testing.T) {
-	a := obs.NewAuditor(obs.AuditBMMM, 64)
+	a := newAuditor(obs.AuditBMMM, 64)
 	req := batchPrefix(a)
 	finishBatch(a, req)
 	if v := a.Violations(); v != 0 {
@@ -121,176 +133,176 @@ func TestAuditorMutations(t *testing.T) {
 		name  string
 		proto obs.AuditProtocol
 		limit int
-		feed  func(a *obs.Auditor)
+		feed  func(a auditor)
 		want  string
 	}{
 		{
 			name: "data-without-cts", proto: obs.AuditBMMM, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.OnSubmit(req, 0)
-				a.OnServiceStart(req, 0)
-				a.OnRoundStart(req, 1, 1, 0)
-				a.OnContention(req, 0)
-				a.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 2)
+				a.Submit(req, 0)
+				a.ServiceStart(req, 0)
+				a.RoundStart(req, 1, 1, 0)
+				a.Contention(req, 0)
+				a.FrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 2)
 				// No CTS came back, yet the sender transmits the data frame.
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 4)
+				a.FrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 4)
 			},
 			want: "data-without-cts",
 		},
 		{
 			name: "rak-before-data", proto: obs.AuditBMMM, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				batchPrefix(a)
-				a.OnFrameTx(&frames.Frame{Type: frames.RAK, MsgID: 1, Dst: 1}, 0, 8)
+				a.FrameTx(&frames.Frame{Type: frames.RAK, MsgID: 1, Dst: 1}, 0, 8)
 			},
 			want: "rak-before-data",
 		},
 		{
 			name: "rts-after-data", proto: obs.AuditBMMM, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				batchPrefix(a)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
-				a.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 13)
+				a.FrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
+				a.FrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 13)
 			},
 			want: "rts-after-data",
 		},
 		{
 			name: "duplicate-data", proto: obs.AuditBMMM, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				batchPrefix(a)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 13)
+				a.FrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
+				a.FrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 13)
 			},
 			want: "duplicate-data",
 		},
 		{
 			name: "retry-before-rak", proto: obs.AuditBMMM, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				req := batchPrefix(a)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
+				a.FrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
 				// A retry round opens before the RAK polls acknowledged the data.
-				a.OnRoundStart(req, 2, 3, 13)
+				a.RoundStart(req, 2, 3, 13)
 			},
 			want: "retry-before-rak",
 		},
 		{
 			name: "residual-increase", proto: obs.AuditBMMM, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				req := batchPrefix(a)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
+				a.FrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
 				for i := 1; i <= 3; i++ {
-					a.OnFrameTx(&frames.Frame{Type: frames.RAK, MsgID: 1, Dst: frames.Addr(i)}, 0, sim.Slot(12+2*i))
+					a.FrameTx(&frames.Frame{Type: frames.RAK, MsgID: 1, Dst: frames.Addr(i)}, 0, sim.Slot(12+2*i))
 				}
-				a.OnRound(req, 5, 19) // residual grew past the intended set
+				a.Round(req, 5, 19) // residual grew past the intended set
 			},
 			want: "residual-increase",
 		},
 		{
 			name: "complete-with-residual", proto: obs.AuditBMMM, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				req := batchPrefix(a)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
+				a.FrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
 				for i := 1; i <= 3; i++ {
-					a.OnFrameTx(&frames.Frame{Type: frames.RAK, MsgID: 1, Dst: frames.Addr(i)}, 0, sim.Slot(12+2*i))
+					a.FrameTx(&frames.Frame{Type: frames.RAK, MsgID: 1, Dst: frames.Addr(i)}, 0, sim.Slot(12+2*i))
 				}
-				a.OnRound(req, 1, 19)
-				a.OnComplete(req, 19) // one receiver still unserved
+				a.Round(req, 1, 19)
+				a.Complete(req, 19) // one receiver still unserved
 			},
 			want: "complete-with-residual",
 		},
 		{
 			name: "tx-after-close", proto: obs.AuditBMMM, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				req := batchPrefix(a)
 				finishBatch(a, req)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 30)
+				a.FrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 30)
 			},
 			want: "tx-after-close",
 		},
 		{
 			name: "retry-overrun", proto: obs.AuditBMMM, limit: 2,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.OnSubmit(req, 0)
-				a.OnServiceStart(req, 0)
+				a.Submit(req, 0)
+				a.ServiceStart(req, 0)
 				for i := 0; i < 3; i++ {
-					a.OnRoundStart(req, i+1, 1, sim.Slot(10*i))
-					a.OnContention(req, sim.Slot(10*i))
+					a.RoundStart(req, i+1, 1, sim.Slot(10*i))
+					a.Contention(req, sim.Slot(10*i))
 				}
 			},
 			want: "retry-overrun",
 		},
 		{
 			name: "premature-retry-abort", proto: obs.AuditBMMM, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				req := batchPrefix(a)
-				a.OnAbort(req, sim.AbortRetries, 9)
+				a.Abort(req, sim.AbortRetries, 9)
 			},
 			want: "premature-retry-abort",
 		},
 		{
 			name: "frame-before-service", proto: obs.AuditBMMM, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.OnSubmit(req, 0)
-				a.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 1)
+				a.Submit(req, 0)
+				a.FrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 1)
 			},
 			want: "frame-before-service",
 		},
 		{
 			name: "illegal-frame-plain", proto: obs.AuditPlain, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.OnSubmit(req, 0)
-				a.OnServiceStart(req, 0)
-				a.OnContention(req, 0)
+				a.Submit(req, 0)
+				a.ServiceStart(req, 0)
+				a.Contention(req, 0)
 				// Plain 802.11 multicast has no handshake at all.
-				a.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 2)
+				a.FrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 2)
 			},
 			want: "illegal-frame",
 		},
 		{
 			name: "bmw-residual-step", proto: obs.AuditBMW, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1, 2, 3}}
-				a.OnSubmit(req, 0)
-				a.OnServiceStart(req, 0)
-				a.OnRoundStart(req, 1, 1, 0)
-				a.OnContention(req, 0)
-				a.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 2)
-				a.OnFrameTx(&frames.Frame{Type: frames.CTS, MsgID: 1, Dst: 0}, 1, 3)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: 1}, 0, 4)
-				a.OnFrameTx(&frames.Frame{Type: frames.ACK, MsgID: 1, Dst: 0}, 1, 9)
-				a.OnRound(req, 1, 10) // BMW must step 3 -> 2, not 3 -> 1
+				a.Submit(req, 0)
+				a.ServiceStart(req, 0)
+				a.RoundStart(req, 1, 1, 0)
+				a.Contention(req, 0)
+				a.FrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 2)
+				a.FrameTx(&frames.Frame{Type: frames.CTS, MsgID: 1, Dst: 0}, 1, 3)
+				a.FrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: 1}, 0, 4)
+				a.FrameTx(&frames.Frame{Type: frames.ACK, MsgID: 1, Dst: 0}, 1, 9)
+				a.Round(req, 1, 10) // BMW must step 3 -> 2, not 3 -> 1
 			},
 			want: "bmw-residual-step",
 		},
 		{
 			name: "bmw-round-overlap", proto: obs.AuditBMW, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1, 2}}
-				a.OnSubmit(req, 0)
-				a.OnServiceStart(req, 0)
-				a.OnRoundStart(req, 1, 1, 0)
-				a.OnRoundStart(req, 2, 1, 1) // previous round never closed
+				a.Submit(req, 0)
+				a.ServiceStart(req, 0)
+				a.RoundStart(req, 1, 1, 0)
+				a.RoundStart(req, 2, 1, 1) // previous round never closed
 			},
 			want: "round-overlap",
 		},
 		{
 			name: "illegal-round-plain", proto: obs.AuditPlain, limit: 64,
-			feed: func(a *obs.Auditor) {
+			feed: func(a auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.OnSubmit(req, 0)
-				a.OnServiceStart(req, 0)
-				a.OnRound(req, 0, 5)
+				a.Submit(req, 0)
+				a.ServiceStart(req, 0)
+				a.Round(req, 0, 5)
 			},
 			want: "illegal-round",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a := obs.NewAuditor(tc.proto, tc.limit)
+			a := newAuditor(tc.proto, tc.limit)
 			tc.feed(a)
 			if a.Violations() == 0 {
 				t.Fatalf("mutation went undetected")
@@ -347,7 +359,7 @@ func TestAuditorDetectsMutantProtocol(t *testing.T) {
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	tp := topo.FromPoints(pts, 0.2)
-	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observer: aud, Lifecycle: aud})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Sink: aud})
 	eng.AttachMACs(func(node int, env *sim.Env) sim.MAC {
 		return dcf.NewStation(node, cfg, core.NewBatch(overPoller{}))
 	})
@@ -377,7 +389,7 @@ func TestAuditorDetectsMutantProtocol(t *testing.T) {
 
 // TestAuditorWriteReport checks the JSON report shape.
 func TestAuditorWriteReport(t *testing.T) {
-	a := obs.NewAuditor(obs.AuditBMMM, 64)
+	a := newAuditor(obs.AuditBMMM, 64)
 	req := batchPrefix(a)
 	finishBatch(a, req)
 	var buf bytes.Buffer

@@ -2,11 +2,10 @@ package obs
 
 import (
 	"relmac/internal/analysis"
-	"relmac/internal/frames"
 	"relmac/internal/sim"
 )
 
-// DriftMonitor is a sim.Observer that feeds an analysis.DriftAccum as
+// DriftMonitor is a sim.Sink that feeds an analysis.DriftAccum as
 // the run unfolds, turning the engine's event stream into the
 // observed-vs-closed-form comparison of §6: per-message contention-phase
 // counts by group size, and per-round service counts for the empirical
@@ -43,47 +42,34 @@ func (d *DriftMonitor) Accum() *analysis.DriftAccum { return d.accum }
 // Summary compares what the run did against the closed forms.
 func (d *DriftMonitor) Summary() analysis.DriftSummary { return d.accum.Summary() }
 
-// OnSubmit implements sim.Observer.
-func (d *DriftMonitor) OnSubmit(req *sim.Request, now sim.Slot) {
-	n := len(req.Dests)
-	if n == 0 {
-		return
-	}
-	d.inflight[req.ID] = &driftMsg{n: n, residual: n}
+// Kinds implements sim.Sink.
+func (d *DriftMonitor) Kinds() sim.KindSet {
+	return sim.KindsOf(sim.EvSubmit, sim.EvContention, sim.EvRound, sim.EvComplete, sim.EvAbort)
 }
 
-// OnContention implements sim.Observer.
-func (d *DriftMonitor) OnContention(req *sim.Request, now sim.Slot) {
-	if m := d.inflight[req.ID]; m != nil {
-		m.contentions++
-	}
-}
-
-// OnFrameTx implements sim.Observer.
-func (d *DriftMonitor) OnFrameTx(f *frames.Frame, sender int, now sim.Slot) {}
-
-// OnDataRx implements sim.Observer.
-func (d *DriftMonitor) OnDataRx(msgID int64, receiver int, now sim.Slot) {}
-
-// OnRound implements sim.Observer.
-func (d *DriftMonitor) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	m := d.inflight[req.ID]
-	if m == nil {
-		return
-	}
-	d.accum.AddRound(m.residual, residual)
-	m.residual = residual
-}
-
-// OnComplete implements sim.Observer.
-func (d *DriftMonitor) OnComplete(req *sim.Request, now sim.Slot) {
-	if m := d.inflight[req.ID]; m != nil {
-		d.accum.AddMessage(m.n, m.contentions)
+// On implements sim.Sink.
+func (d *DriftMonitor) On(ev sim.Event) {
+	req := ev.Req
+	switch ev.Kind {
+	case sim.EvSubmit:
+		if n := len(req.Dests); n > 0 {
+			d.inflight[req.ID] = &driftMsg{n: n, residual: n}
+		}
+	case sim.EvContention:
+		if m := d.inflight[req.ID]; m != nil {
+			m.contentions++
+		}
+	case sim.EvRound:
+		if m := d.inflight[req.ID]; m != nil {
+			d.accum.AddRound(m.residual, ev.A)
+			m.residual = ev.A
+		}
+	case sim.EvComplete:
+		if m := d.inflight[req.ID]; m != nil {
+			d.accum.AddMessage(m.n, m.contentions)
+			delete(d.inflight, req.ID)
+		}
+	case sim.EvAbort:
 		delete(d.inflight, req.ID)
 	}
-}
-
-// OnAbort implements sim.Observer.
-func (d *DriftMonitor) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	delete(d.inflight, req.ID)
 }

@@ -87,7 +87,7 @@ func TestTracerForcedWrapSurfacesDrops(t *testing.T) {
 	tr := NewTracer(4)
 	req := &sim.Request{ID: 1, Src: 0}
 	for i := 0; i < 10; i++ {
-		tr.OnContention(req, sim.Slot(i))
+		feed{tr}.req(sim.EvContention, req, sim.Slot(i), 0)
 	}
 	if got := tr.Dropped(); got != 6 {
 		t.Fatalf("dropped = %d, want 6", got)
@@ -143,7 +143,7 @@ func TestTracerForcedWrapSurfacesDrops(t *testing.T) {
 
 func TestTracerNoWrapNoMeta(t *testing.T) {
 	tr := NewTracer(16)
-	tr.OnContention(&sim.Request{ID: 1}, 0)
+	feed{tr}.req(sim.EvContention, &sim.Request{ID: 1}, 0, 0)
 	var jsonl bytes.Buffer
 	if err := tr.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
@@ -236,8 +236,8 @@ func TestMetricsServerSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	srv := NewMetricsServer(reg)
 	l := NewLedger(reg, "BMMM")
-	l.OnSlot(0, nil, false)
-	l.OnSlot(1, []sim.AiringTx{{Frame: &frames.Frame{Type: frames.Data, MsgID: 1}, Sender: 0}}, false)
+	feed{l}.slot(0, nil, false)
+	feed{l}.slot(1, []sim.AiringTx{{Frame: &frames.Frame{Type: frames.Data, MsgID: 1}, Sender: 0}}, false)
 	srv.AddLedger("BMMM", l)
 	srv.Extra("drift", func() any { return map[string]float64{"rel_err": 0.01} })
 

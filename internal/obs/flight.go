@@ -12,11 +12,6 @@ import (
 	"relmac/internal/sim"
 )
 
-var (
-	_ sim.Observer          = (*Flight)(nil)
-	_ sim.LifecycleObserver = (*Flight)(nil)
-)
-
 // DefaultFlightCapacity bounds the number of messages a Flight tracks
 // when NewFlight is given a non-positive capacity. Messages submitted
 // past the cap are counted in Dropped instead of recorded, so a long run
@@ -96,8 +91,8 @@ type FlightStats struct {
 	RespDrops int64 `json:"resp_drops"`
 }
 
-// Flight is the per-message lifecycle recorder: it implements both
-// sim.Observer and sim.LifecycleObserver and assembles, for every
+// Flight is the per-message lifecycle recorder: a sim.Sink that
+// assembles, for every
 // multicast/broadcast message, the span tree from arrival through
 // queueing, per-round contention, control/data airtime and retry to
 // delivery or abort. Unicast DCF traffic is out of scope — the paper's
@@ -110,11 +105,6 @@ type FlightStats struct {
 // Flight from its serial loop while HTTP snapshot readers observe it
 // concurrently.
 type Flight struct {
-	// Timing supplies frame airtimes for the span durations; the zero
-	// value is replaced by frames.DefaultTiming. Set it to the engine's
-	// timing when that differs.
-	Timing frames.Timing
-
 	capacity int
 
 	mu      sync.Mutex
@@ -163,13 +153,6 @@ func DefaultStageBounds() []float64 {
 	return out
 }
 
-func (f *Flight) timing() frames.Timing {
-	if f.Timing == (frames.Timing{}) {
-		return frames.DefaultTiming()
-	}
-	return f.Timing
-}
-
 // rec returns the open record for the message, nil when untracked or
 // already closed (late frames of a finished exchange stay unattributed).
 func (f *Flight) rec(msgID int64) *FlightRecord {
@@ -180,13 +163,46 @@ func (f *Flight) rec(msgID int64) *FlightRecord {
 	return r
 }
 
-// OnSubmit implements sim.Observer.
-func (f *Flight) OnSubmit(req *sim.Request, now sim.Slot) {
+// Kinds implements sim.Sink.
+func (f *Flight) Kinds() sim.KindSet {
+	return sim.ProtocolKinds | sim.KindsOf(sim.EvServiceStart, sim.EvRoundStart, sim.EvResponseDrop)
+}
+
+// On implements sim.Sink.
+func (f *Flight) On(ev sim.Event) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch ev.Kind {
+	case sim.EvSubmit:
+		f.submit(ev.Req, ev.Slot)
+	case sim.EvFrameTx:
+		f.frameTx(ev)
+	case sim.EvDataRx:
+		if r := f.rec(ev.Frame.MsgID); r != nil {
+			for _, d := range r.Dests {
+				if d == ev.Station {
+					r.Rx = append(r.Rx, FlightRx{Receiver: ev.Station, At: ev.Slot})
+					break
+				}
+			}
+		}
+	case sim.EvResponseDrop:
+		// The dropped response is attributed to the message it answers.
+		f.respDrops++
+		if r := f.rec(ev.Frame.MsgID); r != nil {
+			r.RespDrop++
+		}
+	default:
+		if r := f.rec(ev.Req.ID); r != nil {
+			f.lifecycle(r, ev)
+		}
+	}
+}
+
+func (f *Flight) submit(req *sim.Request, now sim.Slot) {
 	if req.Kind == sim.Unicast {
 		return
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if len(f.records) >= f.capacity {
 		f.dropped++
 		return
@@ -203,140 +219,75 @@ func (f *Flight) OnSubmit(req *sim.Request, now sim.Slot) {
 	f.order = append(f.order, req.ID)
 }
 
-// OnServiceStart implements sim.LifecycleObserver.
-func (f *Flight) OnServiceStart(req *sim.Request, now sim.Slot) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if r := f.rec(req.ID); r != nil && r.Service < 0 {
-		r.Service = now
-		r.Stages.Queueing = int64(now - r.Submit)
-	}
-}
-
-// OnRoundStart implements sim.LifecycleObserver.
-func (f *Flight) OnRoundStart(req *sim.Request, round, polled int, now sim.Slot) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if r := f.rec(req.ID); r != nil {
-		r.Rounds = append(r.Rounds, FlightRound{
-			Round: round, Polled: polled, Start: now, Closed: -1, Residual: -1,
-		})
-	}
-}
-
-// OnResponseDrop implements sim.LifecycleObserver. The dropped response
-// is attributed to the message it answers.
-func (f *Flight) OnResponseDrop(station int, fr *frames.Frame, now sim.Slot) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.respDrops++
-	if r := f.rec(fr.MsgID); r != nil {
-		r.RespDrop++
-	}
-}
-
-// OnContention implements sim.Observer.
-func (f *Flight) OnContention(req *sim.Request, now sim.Slot) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if r := f.rec(req.ID); r != nil {
-		r.openContention = now
-	}
-}
-
-// OnFrameTx implements sim.Observer. Frames are attributed by message
-// ID — the sender's RTS/DATA/RAK and the receivers' CTS/ACK/NAK alike —
-// and classified into control versus data airtime; the sender's first
-// frame after a contention begin closes that contention span.
-func (f *Flight) OnFrameTx(fr *frames.Frame, sender int, now sim.Slot) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// frameTx attributes a frame by message ID — the sender's RTS/DATA/RAK
+// and the receivers' CTS/ACK/NAK alike — and classifies it into control
+// versus data airtime; the sender's first frame after a contention
+// begin closes that contention span.
+func (f *Flight) frameTx(ev sim.Event) {
+	fr, now := ev.Frame, ev.Slot
 	r := f.rec(fr.MsgID)
 	if r == nil {
 		return
 	}
-	air := f.timing().Airtime(fr.Type)
+	air := int(ev.End()-now) + 1
 	r.Frames = append(r.Frames, FlightFrame{
-		Type: fr.Type, Name: fr.Type.String(), Sender: sender, Start: now, Airtime: air,
+		Type: fr.Type, Name: fr.Type.String(), Sender: ev.Station, Start: now, Airtime: air,
 	})
 	if fr.Type == frames.Data {
 		r.Stages.Data += int64(air)
 	} else {
 		r.Stages.Control += int64(air)
 	}
-	if sender == r.Src && r.openContention >= 0 {
+	if ev.Station == r.Src && r.openContention >= 0 {
 		r.Stages.Contention += int64(now - r.openContention)
 		r.openContention = -1
 	}
 }
 
-// OnDataRx implements sim.Observer.
-func (f *Flight) OnDataRx(msgID int64, receiver int, now sim.Slot) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r := f.rec(msgID)
-	if r == nil {
-		return
-	}
-	for _, d := range r.Dests {
-		if d == receiver {
-			r.Rx = append(r.Rx, FlightRx{Receiver: receiver, At: now})
-			return
+// lifecycle applies a request event to the message's open record.
+func (f *Flight) lifecycle(r *FlightRecord, ev sim.Event) {
+	now := ev.Slot
+	switch ev.Kind {
+	case sim.EvServiceStart:
+		if r.Service < 0 {
+			r.Service = now
+			r.Stages.Queueing = int64(now - r.Submit)
 		}
-	}
-}
-
-// OnRound implements sim.Observer: close the most recent open round.
-func (f *Flight) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r := f.rec(req.ID)
-	if r == nil {
-		return
-	}
-	for i := len(r.Rounds) - 1; i >= 0; i-- {
-		if r.Rounds[i].Closed < 0 {
-			r.Rounds[i].Closed = now
-			r.Rounds[i].Residual = residual
-			return
+	case sim.EvRoundStart:
+		r.Rounds = append(r.Rounds, FlightRound{
+			Round: ev.A, Polled: ev.B, Start: now, Closed: -1, Residual: -1,
+		})
+	case sim.EvContention:
+		r.openContention = now
+	case sim.EvRound:
+		// Close the most recent open round.
+		for i := len(r.Rounds) - 1; i >= 0; i-- {
+			if r.Rounds[i].Closed < 0 {
+				r.Rounds[i].Closed = now
+				r.Rounds[i].Residual = ev.A
+				break
+			}
 		}
+	case sim.EvComplete:
+		// Seal the record and feed the stage histograms.
+		r.End = now
+		r.Outcome = "complete"
+		f.completed++
+		if f.hTotal != nil {
+			f.hQueue.Observe(float64(r.Stages.Queueing))
+			f.hCont.Observe(float64(r.Stages.Contention))
+			f.hCtrl.Observe(float64(r.Stages.Control))
+			f.hData.Observe(float64(r.Stages.Data))
+			f.hTotal.Observe(float64(now - r.Submit))
+		}
+	case sim.EvAbort:
+		// Seal the record with the typed abort outcome. Aborted messages
+		// stay out of the latency histograms — a deadline abort's
+		// "latency" measures the timeout, not the protocol.
+		r.End = now
+		r.Outcome = "abort:" + ev.Reason().String()
+		f.aborted++
 	}
-}
-
-// OnComplete implements sim.Observer: seal the record and feed the stage
-// histograms.
-func (f *Flight) OnComplete(req *sim.Request, now sim.Slot) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r := f.rec(req.ID)
-	if r == nil {
-		return
-	}
-	r.End = now
-	r.Outcome = "complete"
-	f.completed++
-	if f.hTotal != nil {
-		f.hQueue.Observe(float64(r.Stages.Queueing))
-		f.hCont.Observe(float64(r.Stages.Contention))
-		f.hCtrl.Observe(float64(r.Stages.Control))
-		f.hData.Observe(float64(r.Stages.Data))
-		f.hTotal.Observe(float64(now - r.Submit))
-	}
-}
-
-// OnAbort implements sim.Observer: seal the record with the typed abort
-// outcome. Aborted messages stay out of the latency histograms — a
-// deadline abort's "latency" measures the timeout, not the protocol.
-func (f *Flight) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	r := f.rec(req.ID)
-	if r == nil {
-		return
-	}
-	r.End = now
-	r.Outcome = "abort:" + reason.String()
-	f.aborted++
 }
 
 // Stats returns the live summary counters.

@@ -15,6 +15,7 @@ import (
 	"relmac/internal/geom"
 	"relmac/internal/mac"
 	"relmac/internal/obs"
+	"relmac/internal/prototest"
 	"relmac/internal/sim"
 	"relmac/internal/topo"
 	"relmac/internal/traffic"
@@ -35,22 +36,17 @@ var flightProtocols = []struct {
 
 // fig2Flight executes the Figure-2 scenario (one multicast from station
 // 0 to stations 1-3, clean channel) under the given protocol with a
-// flight recorder attached to both the observer and lifecycle hooks,
-// plus any extra lifecycle observers (the auditor in the conformance
-// tests).
+// flight recorder attached, plus any extra sinks (the auditor in the
+// conformance tests).
 func fig2Flight(t *testing.T, factory func(mac.Config) func(int, *sim.Env) sim.MAC,
-	extraObs []sim.Observer, extraLife []sim.LifecycleObserver) *obs.Flight {
+	extra ...sim.Sink) *obs.Flight {
 	t.Helper()
 	fl := obs.NewFlight(nil, "", 0)
 	pts := []geom.Point{
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	tp := topo.FromPoints(pts, 0.2)
-	eng := sim.New(sim.Config{
-		Topo: tp, Seed: 1,
-		Observer:  sim.CombineObservers(append([]sim.Observer{fl}, extraObs...)...),
-		Lifecycle: sim.CombineLifecycleObservers(append([]sim.LifecycleObserver{fl}, extraLife...)...),
-	})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Sink: sim.Combine(append([]sim.Sink{fl}, extra...)...)})
 	eng.AttachMACs(factory(mac.DefaultConfig()))
 	script := traffic.NewScript()
 	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
@@ -66,7 +62,7 @@ func fig2Flight(t *testing.T, factory func(mac.Config) func(int, *sim.Env) sim.M
 func TestFlightGolden(t *testing.T) {
 	for _, tc := range flightProtocols {
 		t.Run(tc.name, func(t *testing.T) {
-			fl := fig2Flight(t, tc.factory, nil, nil)
+			fl := fig2Flight(t, tc.factory)
 			var buf bytes.Buffer
 			if err := fl.WriteSpansJSONL(&buf); err != nil {
 				t.Fatal(err)
@@ -94,7 +90,7 @@ func TestFlightGolden(t *testing.T) {
 // exchange of Figure 2, and stage sums consistent with the timing model
 // (12 control slots, 5 data slots, queueing 0).
 func TestFlightFigure2Spans(t *testing.T) {
-	fl := fig2Flight(t, core.NewBMMM, nil, nil)
+	fl := fig2Flight(t, core.NewBMMM)
 	recs := fl.Records()
 	if len(recs) != 1 {
 		t.Fatalf("records = %d, want 1", len(recs))
@@ -138,11 +134,7 @@ func TestFlightNeutrality(t *testing.T) {
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	tp := topo.FromPoints(pts, 0.2)
-	eng := sim.New(sim.Config{
-		Topo: tp, Seed: 1,
-		Observer:  sim.CombineObservers(accompanied, fl, aud),
-		Lifecycle: sim.CombineLifecycleObservers(fl, aud),
-	})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Sink: sim.Combine(accompanied, fl, aud)})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
 	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
@@ -183,8 +175,7 @@ func TestFlightRunNeutrality(t *testing.T) {
 			t.Fatalf("no audit model for %s", proto)
 		}
 		aud := obs.NewAuditor(ap, wired.MAC.RetryLimit)
-		wired.Observers = append(wired.Observers, fl, aud)
-		wired.Lifecycles = append(wired.Lifecycles, fl, aud)
+		wired.Sinks = append(wired.Sinks, fl, aud)
 		res, err := experiments.Run(wired)
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +203,7 @@ func TestFlightStageHistograms(t *testing.T) {
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	tp := topo.FromPoints(pts, 0.2)
-	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observer: fl, Lifecycle: fl})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Sink: fl})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
 	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
@@ -243,7 +234,7 @@ func TestFlightStageHistograms(t *testing.T) {
 func TestFlightCapacity(t *testing.T) {
 	fl := obs.NewFlight(nil, "", 2)
 	for i := int64(1); i <= 4; i++ {
-		fl.OnSubmit(&sim.Request{ID: i, Kind: sim.Multicast, Src: 0, Dests: []int{1}}, 0)
+		prototest.Feed{Sink: fl}.Submit(&sim.Request{ID: i, Kind: sim.Multicast, Src: 0, Dests: []int{1}}, 0)
 	}
 	st := fl.Stats()
 	if st.Tracked != 2 || st.Dropped != 2 {
@@ -263,7 +254,7 @@ func TestFlightCapacity(t *testing.T) {
 // the flight recorder.
 func TestFlightIgnoresUnicast(t *testing.T) {
 	fl := obs.NewFlight(nil, "", 0)
-	fl.OnSubmit(&sim.Request{ID: 1, Kind: sim.Unicast, Src: 0, Dests: []int{1}}, 0)
+	prototest.Feed{Sink: fl}.Submit(&sim.Request{ID: 1, Kind: sim.Unicast, Src: 0, Dests: []int{1}}, 0)
 	if st := fl.Stats(); st.Tracked != 0 {
 		t.Errorf("tracked = %d, want 0 for unicast", st.Tracked)
 	}

@@ -33,9 +33,7 @@ func TestMetricsServerConcurrentWithRun(t *testing.T) {
 
 	cfg := experiments.Defaults(experiments.BMMM, 11)
 	cfg.Nodes, cfg.Slots = 60, 5000
-	cfg.Observers = append(cfg.Observers, fl, aud, tr)
-	cfg.Lifecycles = append(cfg.Lifecycles, fl, aud)
-	cfg.SlotObservers = append(cfg.SlotObservers, led)
+	cfg.Sinks = append(cfg.Sinks, fl, aud, tr, led)
 
 	done := make(chan error, 1)
 	go func() {

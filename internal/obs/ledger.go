@@ -111,16 +111,13 @@ func busyPriority(c Category) int {
 	}
 }
 
-// Ledger is the slot-accurate airtime ledger: it implements both
-// sim.Observer (protocol lifecycle — who is contending, which messages
-// are in retry rounds) and sim.SlotObserver (channel state — what the
-// medium carried each slot), and attributes every simulated slot to
+// Ledger is the slot-accurate airtime ledger: a sim.Sink reading the
+// protocol lifecycle (who is contending, which messages are in retry
+// rounds) and the channel state (slot events: what the medium carried
+// each slot) from the one stream, attributing every simulated slot to
 // exactly one Category, counted under "<prefix>.airtime.<category>" in
 // the registry alongside "<prefix>.airtime.total".
 //
-// Attach the same instance on both hooks: the Observer side via
-// sim.CombineObservers, the SlotObserver side via
-// sim.CombineSlotObservers (or directly as Config.SlotObserver).
 // Use a fresh Ledger per engine run — message identity maps reset with
 // the instance while the shared registry counters accumulate across
 // runs, exactly like Stats.
@@ -136,7 +133,7 @@ type Ledger struct {
 	prefix  string
 	station []*Counter
 
-	// contending holds messages between an OnContention and their next
+	// contending holds messages between a contention event and their next
 	// frame transmission — the "station is mid-backoff" signal that
 	// turns an idle-channel slot into CatContention.
 	contending map[int64]struct{}
@@ -184,19 +181,55 @@ func (l *Ledger) TrackStations(n int) {
 	}
 }
 
-// OnSlot implements sim.SlotObserver: classify the slot and charge
-// per-message / per-station airtime.
-func (l *Ledger) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
-	l.total.Inc()
-	l.cats[l.classify(airing, collided)].Inc()
+// Kinds implements sim.Sink.
+func (l *Ledger) Kinds() sim.KindSet {
+	return sim.KindsOf(sim.EvSlot, sim.EvContention, sim.EvFrameTx, sim.EvRound, sim.EvComplete, sim.EvAbort)
+}
 
-	if len(airing) == 0 {
-		return
+// On implements sim.Sink.
+func (l *Ledger) On(ev sim.Event) {
+	switch ev.Kind {
+	case sim.EvSlot:
+		l.slots(ev)
+	case sim.EvContention:
+		l.contending[ev.Req.ID] = struct{}{}
+	case sim.EvFrameTx:
+		// The first frame of an exchange ends its sender's backoff, so
+		// the message stops counting as contending.
+		if id := ev.Frame.MsgID; id > 0 {
+			delete(l.contending, id)
+		}
+	case sim.EvRound:
+		// From the first round that leaves receivers unserved on,
+		// further airtime for the message is retry overhead.
+		if ev.A > 0 {
+			l.retrying[ev.Req.ID] = struct{}{}
+		}
+	case sim.EvComplete, sim.EvAbort:
+		id := ev.Req.ID
+		l.perMsg.Observe(float64(l.msgAir[id]))
+		delete(l.msgAir, id)
+		delete(l.contending, id)
+		delete(l.retrying, id)
 	}
+}
+
+// slots classifies a slot event's span and charges per-message and
+// per-station airtime. No event fires inside a span, so the
+// classification cannot change across it: one classify result charged
+// to every slot is exactly the per-slot sum. (A skipped stretch is
+// airless and collision-free; a message mid-contention keeps its sender
+// awake, so skipped spans are CatIdle in practice, but the classify
+// call keeps the equivalence structural rather than assumed.)
+func (l *Ledger) slots(ev sim.Event) {
+	n := int64(ev.End()-ev.Slot) + 1
+	l.total.Add(n)
+	l.cats[l.classify(ev.Txs(), ev.Collided())].Add(n)
+
 	l.msgSeen = l.msgSeen[:0]
-	for _, tx := range airing {
+	for _, tx := range ev.Txs() {
 		if tx.Sender >= 0 && tx.Sender < len(l.station) {
-			l.station[tx.Sender].Inc()
+			l.station[tx.Sender].Add(n)
 		}
 		id := tx.Frame.MsgID
 		if id <= 0 {
@@ -211,23 +244,9 @@ func (l *Ledger) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 		}
 		if !dup {
 			l.msgSeen = append(l.msgSeen, id)
-			l.msgAir[id]++
+			l.msgAir[id] += n
 		}
 	}
-}
-
-// OnIdleSpan implements sim.IdleSpanObserver: attribute a skipped idle
-// stretch in bulk. Every slot of the span would have arrived as
-// OnSlot(t, nil, false), and with no events firing between the calls
-// the classification cannot change mid-span, so charging the whole
-// span to one classify result is exactly the per-slot sum. (A message
-// mid-contention keeps its sender non-quiescent, so spans under a
-// skipping engine are always CatIdle in practice; the classify call
-// keeps this equivalence structural rather than assumed.)
-func (l *Ledger) OnIdleSpan(from, to sim.Slot) {
-	n := int64(to - from + 1)
-	l.total.Add(n)
-	l.cats[l.classify(nil, false)].Add(n)
 }
 
 // classify maps one slot's channel state to its exclusive category.
@@ -266,48 +285,6 @@ func (l *Ledger) classify(airing []sim.AiringTx, collided bool) Category {
 		}
 	}
 	return best
-}
-
-// OnSubmit implements sim.Observer.
-func (l *Ledger) OnSubmit(req *sim.Request, now sim.Slot) {}
-
-// OnContention implements sim.Observer.
-func (l *Ledger) OnContention(req *sim.Request, now sim.Slot) {
-	l.contending[req.ID] = struct{}{}
-}
-
-// OnFrameTx implements sim.Observer: the first frame of an exchange ends
-// its sender's backoff, so the message stops counting as contending.
-func (l *Ledger) OnFrameTx(f *frames.Frame, sender int, now sim.Slot) {
-	if f.MsgID > 0 {
-		delete(l.contending, f.MsgID)
-	}
-}
-
-// OnDataRx implements sim.Observer.
-func (l *Ledger) OnDataRx(msgID int64, receiver int, now sim.Slot) {}
-
-// OnRound implements sim.Observer: from the first completed round on,
-// further airtime for the message is retry overhead.
-func (l *Ledger) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	if residual > 0 {
-		l.retrying[req.ID] = struct{}{}
-	}
-}
-
-// OnComplete implements sim.Observer.
-func (l *Ledger) OnComplete(req *sim.Request, now sim.Slot) { l.finish(req.ID) }
-
-// OnAbort implements sim.Observer.
-func (l *Ledger) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	l.finish(req.ID)
-}
-
-func (l *Ledger) finish(id int64) {
-	l.perMsg.Observe(float64(l.msgAir[id]))
-	delete(l.msgAir, id)
-	delete(l.contending, id)
-	delete(l.retrying, id)
 }
 
 // LedgerSnapshot is a point-in-time airtime breakdown read back from the

@@ -1,83 +1,44 @@
-// Package obs is the simulation observability layer: structured event
-// tracing, a lightweight stat registry, and the glue that lets both
-// attach to an engine run alongside the metrics collector.
+// Package obs is the simulation observability layer: consumers of the
+// engine's one event stream (sim.Event) that turn a run into traces,
+// counters, airtime breakdowns, span trees and conformance findings.
 //
 // The simulator's evaluation questions — where do slots go? how many
 // contention phases does a message burn? how long does a BMMM batch
 // hold the medium? — all require seeing *inside* a run, not just the
-// final aggregates. This package provides:
+// final aggregates. Every consumer here is one sim.Sink that names the
+// kinds it wants and handles them in one On switch:
 //
-//   - Tracer: a sim.Observer recording structured events (submit,
-//     contention, frame-tx, data-rx, complete, abort) into a bounded
-//     ring buffer, exportable as JSONL or as Chrome trace-event JSON
-//     (one "thread" per station) loadable at https://ui.perfetto.dev;
-//   - Registry / Counter / Histogram: cheap named counters and
-//     fixed-bucket histograms fed by the Stats observer (live, from the
-//     engine's event stream) or by metrics.Collector.FeedRegistry
-//     (post-run, from the per-message records);
-//   - Stats: a sim.Observer that feeds a Registry as the run unfolds.
+//   - Tracer records the protocol-level events (submit, contention,
+//     frame-tx, data-rx, round, complete, abort) into a bounded ring
+//     buffer, exportable as JSONL or as Chrome trace-event JSON (one
+//     "thread" per station) loadable at https://ui.perfetto.dev;
+//   - Stats feeds a Registry of cheap named counters and fixed-bucket
+//     histograms as the run unfolds (metrics.Collector.FeedRegistry
+//     fills the same registry post-run from the per-message records);
+//   - Ledger attributes every slot to exactly one airtime category;
+//   - DriftMonitor compares the run against the §6 closed forms;
+//   - Flight assembles per-message span trees;
+//   - Auditor checks every exchange against its protocol's grammar.
 //
-// Attach any combination with sim.CombineObservers; the engine's
-// NopObserver fast path is untouched when nothing is attached.
+// Attach any combination, each consumer once, with sim.Combine (or
+// experiments.RunConfig.Sinks). Kinds no attached consumer wants cost
+// the engine one bit test per emission site.
 package obs
 
 import (
-	"fmt"
-
 	"relmac/internal/frames"
 	"relmac/internal/sim"
 )
 
-// EventKind classifies trace events, mirroring the sim.Observer
-// callbacks.
-type EventKind uint8
-
-// Event kinds, in lifecycle order.
-const (
-	EvSubmit EventKind = iota
-	EvContention
-	EvFrameTx
-	EvDataRx
-	EvRound
-	EvComplete
-	EvAbort
-	numEventKinds
-)
-
-// NumEventKinds is the number of distinct event kinds.
-const NumEventKinds = int(numEventKinds)
-
-// String implements fmt.Stringer; the forms double as the JSONL "event"
-// field, so they are part of the trace schema.
-func (k EventKind) String() string {
-	switch k {
-	case EvSubmit:
-		return "submit"
-	case EvContention:
-		return "contention"
-	case EvFrameTx:
-		return "frame-tx"
-	case EvDataRx:
-		return "data-rx"
-	case EvRound:
-		return "round"
-	case EvComplete:
-		return "complete"
-	case EvAbort:
-		return "abort"
-	default:
-		return fmt.Sprintf("EventKind(%d)", uint8(k))
-	}
-}
-
-// Event is one structured trace record. Station is the acting station:
-// the sender for submit/contention/frame-tx/round/complete/abort, the
-// receiver for data-rx. Frame, Src, Dst and Dur are meaningful only for
-// EvFrameTx (Dur is the frame's airtime in slots); Residual only for
-// EvRound (intended receivers still unserved after the round); Reason
-// only for EvAbort.
+// Event is one structured trace record. Kind is one of the seven
+// protocol-level kinds (sim.ProtocolKinds); its String form is the
+// JSONL "event" field. Station is the acting station: the sender for
+// submit/contention/frame-tx/round/complete/abort, the receiver for
+// data-rx. Frame, Src, Dst and Dur are meaningful only for frame-tx (Dur
+// is the frame's airtime in slots); Residual only for round (intended
+// receivers still unserved after the round); Reason only for abort.
 type Event struct {
-	Kind     EventKind
+	Kind     sim.EventKind
 	Slot     sim.Slot
 	Station  int
 	MsgID    int64

@@ -7,6 +7,7 @@ import (
 
 	"relmac/internal/frames"
 	"relmac/internal/obs"
+	"relmac/internal/prototest"
 	"relmac/internal/sim"
 )
 
@@ -93,21 +94,21 @@ func TestRegistryConcurrentFeed(t *testing.T) {
 
 func TestStatsObserverFeedsRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	st := obs.NewStats(reg, "BMMM")
+	st := prototest.Feed{Sink: obs.NewStats(reg, "BMMM")}
 
 	req := &sim.Request{ID: 1, Src: 0, Arrival: 10, Deadline: 110}
-	st.OnSubmit(req, 10)
-	st.OnContention(req, 11)
-	st.OnContention(req, 30)
-	st.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1}, 0, 12)
-	st.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1}, 0, 14)
-	st.OnDataRx(1, 2, 18)
-	st.OnComplete(req, 40)
+	st.Submit(req, 10)
+	st.Contention(req, 11)
+	st.Contention(req, 30)
+	st.FrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1}, 0, 12)
+	st.FrameTx(&frames.Frame{Type: frames.Data, MsgID: 1}, 0, 14)
+	st.DataRx(1, 2, 18)
+	st.Complete(req, 40)
 
 	req2 := &sim.Request{ID: 2, Src: 1, Arrival: 20, Deadline: 120}
-	st.OnSubmit(req2, 20)
-	st.OnRound(req2, 3, 60)
-	st.OnAbort(req2, sim.AbortDeadline, 120)
+	st.Submit(req2, 20)
+	st.Round(req2, 3, 60)
+	st.Abort(req2, sim.AbortDeadline, 120)
 
 	check := func(name string, want int64) {
 		t.Helper()

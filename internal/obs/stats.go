@@ -19,8 +19,8 @@ var (
 	DefaultResidualBounds = []float64{0, 1, 2, 3, 4, 6, 8, 12, 16, 24}
 )
 
-// Stats is a sim.Observer that feeds a Registry as the run unfolds: one
-// counter per lifecycle event, one counter per frame type transmitted,
+// Stats is a sim.Sink that feeds a Registry as the run unfolds: one
+// counter per protocol-level event, one counter per frame type transmitted,
 // and per-message histograms of contention phases and completion time.
 // The MAC layers feed it indirectly — contention/complete/abort events
 // originate inside the protocol state machines via Env.Report*.
@@ -42,7 +42,7 @@ type msgProgress struct {
 	contentions int
 }
 
-// NewStats builds a Stats observer registering its instruments under
+// NewStats builds a Stats sink registering its instruments under
 // prefix in reg.
 func NewStats(reg *Registry, prefix string) *Stats {
 	s := &Stats{
@@ -66,56 +66,44 @@ func NewStats(reg *Registry, prefix string) *Stats {
 	return s
 }
 
-// OnSubmit implements sim.Observer.
-func (s *Stats) OnSubmit(req *sim.Request, now sim.Slot) {
-	s.submits.Inc()
-	s.inflight[req.ID] = &msgProgress{arrival: req.Arrival}
-}
+// Kinds implements sim.Sink: the seven protocol-level kinds.
+func (s *Stats) Kinds() sim.KindSet { return sim.ProtocolKinds }
 
-// OnContention implements sim.Observer.
-func (s *Stats) OnContention(req *sim.Request, now sim.Slot) {
-	s.contentions.Inc()
-	if p := s.inflight[req.ID]; p != nil {
-		p.contentions++
-	}
-}
-
-// OnFrameTx implements sim.Observer.
-func (s *Stats) OnFrameTx(f *frames.Frame, sender int, now sim.Slot) {
-	if int(f.Type) < len(s.frameTx) {
-		s.frameTx[f.Type].Inc()
-	}
-}
-
-// OnDataRx implements sim.Observer.
-func (s *Stats) OnDataRx(msgID int64, receiver int, now sim.Slot) {
-	s.dataRx.Inc()
-}
-
-// OnComplete implements sim.Observer.
-func (s *Stats) OnComplete(req *sim.Request, now sim.Slot) {
-	s.completes.Inc()
-	if p := s.inflight[req.ID]; p != nil {
-		s.contHist.Observe(float64(p.contentions))
-		s.compHist.Observe(float64(now - p.arrival))
-		delete(s.inflight, req.ID)
-	}
-}
-
-// OnRound implements sim.Observer.
-func (s *Stats) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	s.rounds.Inc()
-	s.residHist.Observe(float64(residual))
-}
-
-// OnAbort implements sim.Observer.
-func (s *Stats) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	s.aborts.Inc()
-	if int(reason) < len(s.abortReasons) {
-		s.abortReasons[reason].Inc()
-	}
-	if p := s.inflight[req.ID]; p != nil {
-		s.contHist.Observe(float64(p.contentions))
-		delete(s.inflight, req.ID)
+// On implements sim.Sink.
+func (s *Stats) On(ev sim.Event) {
+	switch ev.Kind {
+	case sim.EvSubmit:
+		s.submits.Inc()
+		s.inflight[ev.Req.ID] = &msgProgress{arrival: ev.Req.Arrival}
+	case sim.EvContention:
+		s.contentions.Inc()
+		if p := s.inflight[ev.Req.ID]; p != nil {
+			p.contentions++
+		}
+	case sim.EvFrameTx:
+		if t := ev.Frame.Type; int(t) < len(s.frameTx) {
+			s.frameTx[t].Inc()
+		}
+	case sim.EvDataRx:
+		s.dataRx.Inc()
+	case sim.EvComplete:
+		s.completes.Inc()
+		if p := s.inflight[ev.Req.ID]; p != nil {
+			s.contHist.Observe(float64(p.contentions))
+			s.compHist.Observe(float64(ev.Slot - p.arrival))
+			delete(s.inflight, ev.Req.ID)
+		}
+	case sim.EvRound:
+		s.rounds.Inc()
+		s.residHist.Observe(float64(ev.A))
+	case sim.EvAbort:
+		s.aborts.Inc()
+		if r := ev.Reason(); int(r) < len(s.abortReasons) {
+			s.abortReasons[r].Inc()
+		}
+		if p := s.inflight[ev.Req.ID]; p != nil {
+			s.contHist.Observe(float64(p.contentions))
+			delete(s.inflight, ev.Req.ID)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"relmac/internal/geom"
 	"relmac/internal/mac"
 	"relmac/internal/obs"
+	"relmac/internal/prototest"
 	"relmac/internal/sim"
 	"relmac/internal/topo"
 	"relmac/internal/traffic"
@@ -24,14 +25,14 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // fig2Run executes the deterministic BMMM Figure-2 scenario — one
 // multicast from station 0 to stations 1-3 on a clean channel — with the
-// given tracer attached as the engine observer.
+// given tracer attached as the engine's sink.
 func fig2Run(t *testing.T, tr *obs.Tracer) {
 	t.Helper()
 	pts := []geom.Point{
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	tp := topo.FromPoints(pts, 0.2)
-	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observer: tr})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Sink: tr})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
 	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
@@ -74,9 +75,9 @@ func TestTracerFigure2ExchangeOrder(t *testing.T) {
 	contentions := 0
 	for _, ev := range tr.Events() {
 		switch ev.Kind {
-		case obs.EvFrameTx:
+		case sim.EvFrameTx:
 			seq = append(seq, fmt.Sprintf("%s %s>%s", ev.Frame, ev.Src, ev.Dst))
-		case obs.EvContention:
+		case sim.EvContention:
 			contentions++
 		}
 	}
@@ -167,7 +168,7 @@ func TestTracerChromeTrace(t *testing.T) {
 func TestTracerRingBufferWraps(t *testing.T) {
 	tr := obs.NewTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.OnDataRx(int64(i), i, sim.Slot(i))
+		prototest.Feed{Sink: tr}.DataRx(int64(i), i, sim.Slot(i))
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", tr.Len())
@@ -184,10 +185,11 @@ func TestTracerRingBufferWraps(t *testing.T) {
 }
 
 func TestTracerFrameTxRecordsAirtime(t *testing.T) {
+	// The recorded duration is the airtime the engine gave the frame:
+	// here a 7-slot DATA and a 2-slot RTS under a non-default timing.
 	tr := obs.NewTracer(8)
-	tr.Timing = frames.Timing{Control: 2, Data: 7}
-	tr.OnFrameTx(&frames.Frame{Type: frames.Data}, 0, 10)
-	tr.OnFrameTx(&frames.Frame{Type: frames.RTS}, 1, 20)
+	tr.On(sim.Event{Kind: sim.EvFrameTx, Slot: 10, Frame: &frames.Frame{Type: frames.Data}, A: 16})
+	tr.On(sim.Event{Kind: sim.EvFrameTx, Slot: 20, Station: 1, Frame: &frames.Frame{Type: frames.RTS}, A: 21})
 	evs := tr.Events()
 	if evs[0].Dur != 7 || evs[1].Dur != 2 {
 		t.Errorf("durations = %d, %d; want 7, 2", evs[0].Dur, evs[1].Dur)

@@ -9,7 +9,7 @@
 // injectable function value (the sanctioned injectable-default pattern,
 // like experiments.ProgressMeter.Clock), invoked dynamically and
 // replaceable with a fake in tests. The hook methods draw no randomness
-// and touch no engine state, which the profpure check proves over the
+// and touch no engine state, which the hookpure check proves over the
 // call graph; attaching a PhaseTimer therefore leaves runs
 // byte-identical, pinned by the differential tests in
 // internal/experiments.

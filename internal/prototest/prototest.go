@@ -27,25 +27,23 @@ type TraceRecorder struct {
 	TxOnly bool
 }
 
-// TxStart implements sim.Tracer.
-func (r *TraceRecorder) TxStart(f *frames.Frame, sender int, start, end sim.Slot) {
-	r.Events = append(r.Events, fmt.Sprintf("%d TX %s %s→%s", start, f.Type, f.Src, f.Dst))
+// Kinds implements sim.Sink.
+func (r *TraceRecorder) Kinds() sim.KindSet {
+	return sim.KindsOf(sim.EvFrameTx, sim.EvRxOK, sim.EvRxLost)
 }
 
-// RxOK implements sim.Tracer.
-func (r *TraceRecorder) RxOK(f *frames.Frame, receiver int, now sim.Slot) {
-	if r.TxOnly {
-		return
+// On implements sim.Sink.
+func (r *TraceRecorder) On(ev sim.Event) {
+	f := ev.Frame
+	switch {
+	case ev.Kind == sim.EvFrameTx:
+		r.Events = append(r.Events, fmt.Sprintf("%d TX %s %s→%s", ev.Slot, f.Type, f.Src, f.Dst))
+	case r.TxOnly:
+	case ev.Kind == sim.EvRxOK:
+		r.Events = append(r.Events, fmt.Sprintf("%d RX %s %s→%s @%d", ev.Slot, f.Type, f.Src, f.Dst, ev.Station))
+	case ev.Kind == sim.EvRxLost:
+		r.Events = append(r.Events, fmt.Sprintf("%d LOST %s %s→%s @%d", ev.Slot, f.Type, f.Src, f.Dst, ev.Station))
 	}
-	r.Events = append(r.Events, fmt.Sprintf("%d RX %s %s→%s @%d", now, f.Type, f.Src, f.Dst, receiver))
-}
-
-// RxLost implements sim.Tracer.
-func (r *TraceRecorder) RxLost(f *frames.Frame, receiver int, now sim.Slot) {
-	if r.TxOnly {
-		return
-	}
-	r.Events = append(r.Events, fmt.Sprintf("%d LOST %s %s→%s @%d", now, f.Type, f.Src, f.Dst, receiver))
 }
 
 // TxTypes returns the sequence of transmitted frame types, e.g.
@@ -87,7 +85,7 @@ func New(pts []geom.Point, radius float64, factory Factory, opts ...Option) *Run
 		Script:    traffic.NewScript(),
 		Topo:      tp,
 	}
-	cfg := sim.Config{Topo: tp, Observer: r.Collector, Tracer: r.Trace}
+	cfg := sim.Config{Topo: tp, Sink: sim.Combine(r.Collector, r.Trace)}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -197,3 +195,64 @@ func (j *Jammer) Deliver(env *sim.Env, f *frames.Frame) {}
 
 // Submit implements sim.MAC.
 func (j *Jammer) Submit(env *sim.Env, req *sim.Request) {}
+
+// Feed drives a sink with hand-built events, one method per event kind,
+// the way an engine would: each event reaches the sink only when its
+// kind is in the sink's Kinds. It is the unit-test stand-in for a run.
+type Feed struct {
+	Sink sim.Sink
+}
+
+func (f Feed) emit(ev sim.Event) {
+	if f.Sink.Kinds().Has(ev.Kind) {
+		f.Sink.On(ev)
+	}
+}
+
+func (f Feed) request(k sim.EventKind, req *sim.Request, now sim.Slot, a, b int) {
+	f.emit(sim.Event{Kind: k, Slot: now, Station: req.Src, Req: req, A: a, B: b})
+}
+
+// Submit emits a submit event.
+func (f Feed) Submit(req *sim.Request, now sim.Slot) { f.request(sim.EvSubmit, req, now, 0, 0) }
+
+// Contention emits a contention event.
+func (f Feed) Contention(req *sim.Request, now sim.Slot) {
+	f.request(sim.EvContention, req, now, 0, 0)
+}
+
+// FrameTx emits a frame-tx event for a frame starting at now, with the
+// default airtime of its type.
+func (f Feed) FrameTx(fr *frames.Frame, sender int, now sim.Slot) {
+	end := now + sim.Slot(frames.DefaultTiming().Airtime(fr.Type)) - 1
+	f.emit(sim.Event{Kind: sim.EvFrameTx, Slot: now, Station: sender, Frame: fr, A: int(end)})
+}
+
+// DataRx emits a data-rx event: the receiver decoded the message's DATA.
+func (f Feed) DataRx(msgID int64, receiver int, now sim.Slot) {
+	fr := &frames.Frame{Type: frames.Data, MsgID: msgID}
+	f.emit(sim.Event{Kind: sim.EvDataRx, Slot: now, Station: receiver, Frame: fr})
+}
+
+// Round emits a round event with the residual.
+func (f Feed) Round(req *sim.Request, residual int, now sim.Slot) {
+	f.request(sim.EvRound, req, now, residual, 0)
+}
+
+// Complete emits a complete event.
+func (f Feed) Complete(req *sim.Request, now sim.Slot) { f.request(sim.EvComplete, req, now, 0, 0) }
+
+// Abort emits an abort event with the reason.
+func (f Feed) Abort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
+	f.request(sim.EvAbort, req, now, int(reason), 0)
+}
+
+// ServiceStart emits a service-start event.
+func (f Feed) ServiceStart(req *sim.Request, now sim.Slot) {
+	f.request(sim.EvServiceStart, req, now, 0, 0)
+}
+
+// RoundStart emits a round-start event.
+func (f Feed) RoundStart(req *sim.Request, round, polled int, now sim.Slot) {
+	f.request(sim.EvRoundStart, req, now, round, polled)
+}

@@ -53,14 +53,23 @@
 //
 // All of them are gated by Config.Reference, which forces the original
 // naive path; the equivalence tests drive both paths to identical
-// transcripts. Skipped idle spans draw nothing from the PRNG and are
-// reported to slot observers in bulk (IdleSpanObserver) or replayed
-// slot-by-slot for observers without the bulk hook.
+// transcripts. Skipped idle spans draw nothing from the PRNG and reach
+// sinks as one slot event spanning the whole stretch.
+//
+// # One event stream
+//
+// Everything a run reports — submits, contention phases, frame starts,
+// receptions, rounds, completions, aborts, per-slot channel state and
+// the per-message lifecycle — is one stream of Event records handed to
+// the Sink in Config.Sink; Combine fans it out to several sinks. Each
+// sink names the kinds it wants, New takes their union once, and every
+// emission site tests its kind's bit, so a kind nobody wants costs one
+// bit test and a run with no sink builds no event at all.
 //
 // # Entry points
 //
 // New builds an Engine from a Config; SetMAC/AttachMACs install the
 // per-station protocol state machines; Run/Step advance the clock. Env
-// is the window a MAC sees; Observer, Tracer, SlotObserver and
-// LifecycleObserver are the instrumentation surfaces.
+// is the window a MAC sees; Sink is the one instrumentation surface for
+// events, Profiler the one for wall time.
 package sim

@@ -58,66 +58,59 @@ func (e *Env) Transmitting() bool {
 // station order, so sharing the engine PRNG keeps runs reproducible.
 func (e *Env) Rand() *rand.Rand { return e.engine.rng }
 
-// ReportContention notifies the observer that the station is entering a
+// Wants reports whether an attached sink wants events of the kind. MAC
+// code whose reporting needs setup beyond a plain Report call (the
+// Responder's stale-drop accounting) checks it first, so the path with
+// no such sink stays exactly the code without the report.
+func (e *Env) Wants(k EventKind) bool { return e.engine.wants.Has(k) }
+
+// report emits a request event of the kind at the current slot, when a
+// sink wants it.
+func (e *Env) report(k EventKind, req *Request, a, b int) {
+	if eng := e.engine; eng.wants.Has(k) {
+		eng.sink.On(Event{Kind: k, Slot: eng.now, Station: req.Src, Req: req, A: a, B: b})
+	}
+}
+
+// ReportContention emits a contention event: the station is entering a
 // CSMA/CA contention phase for the request — the quantity plotted in
 // Figure 9 and analysed in §6.
-func (e *Env) ReportContention(req *Request) {
-	e.engine.observer.OnContention(req, e.engine.now)
-}
+func (e *Env) ReportContention(req *Request) { e.report(EvContention, req, 0, 0) }
 
-// ReportComplete notifies the observer that the sending MAC considers the
+// ReportComplete emits a complete event: the sending MAC considers the
 // request served.
-func (e *Env) ReportComplete(req *Request) {
-	e.engine.observer.OnComplete(req, e.engine.now)
-}
+func (e *Env) ReportComplete(req *Request) { e.report(EvComplete, req, 0, 0) }
 
-// ReportAbort notifies the observer that the sending MAC abandoned the
-// request, with the typed reason (deadline passed or retry budget
+// ReportAbort emits an abort event: the sending MAC abandoned the
+// request, for the typed reason (deadline passed or retry budget
 // exhausted).
 func (e *Env) ReportAbort(req *Request, reason AbortReason) {
-	e.engine.observer.OnAbort(req, reason, e.engine.now)
+	e.report(EvAbort, req, int(reason), 0)
 }
 
-// ReportRound notifies the observer that a multi-round group protocol
+// ReportRound emits a round event: a multi-round group protocol
 // finished one round with residual intended receivers still unserved —
 // the per-round graceful-degradation signal: under an impaired channel
 // the residual shrinks more slowly (or not at all) and the round count
 // grows.
-func (e *Env) ReportRound(req *Request, residual int) {
-	e.engine.observer.OnRound(req, residual, e.engine.now)
-}
+func (e *Env) ReportRound(req *Request, residual int) { e.report(EvRound, req, residual, 0) }
 
-// LifecycleOn reports whether a lifecycle observer is attached. MAC code
-// whose lifecycle reporting needs setup beyond a plain call (the
-// Responder's stale-drop accounting) checks it first, so the disabled
-// path stays exactly the pre-hook code.
-func (e *Env) LifecycleOn() bool { return e.engine.lifecycle != nil }
+// ReportServiceStart emits a service-start event: the station dequeued
+// the request into service — the queueing/service boundary of the
+// flight recorder's span tree.
+func (e *Env) ReportServiceStart(req *Request) { e.report(EvServiceStart, req, 0, 0) }
 
-// ReportServiceStart notifies the lifecycle observer that the station
-// dequeued the request into service — the queueing/service boundary of
-// the flight recorder's span tree. A nil lifecycle observer makes this a
-// no-op.
-func (e *Env) ReportServiceStart(req *Request) {
-	if lc := e.engine.lifecycle; lc != nil {
-		lc.OnServiceStart(req, e.engine.now)
-	}
-}
-
-// ReportRoundStart notifies the lifecycle observer that a group protocol
-// is opening a round: round is the 1-based contention-phase ordinal,
-// polled the number of receivers the round will poll. A nil lifecycle
-// observer makes this a no-op.
+// ReportRoundStart emits a round-start event: a group protocol is
+// opening a round, round its 1-based ordinal and polled the number of
+// receivers it will poll.
 func (e *Env) ReportRoundStart(req *Request, round, polled int) {
-	if lc := e.engine.lifecycle; lc != nil {
-		lc.OnRoundStart(req, round, polled, e.engine.now)
-	}
+	e.report(EvRoundStart, req, round, polled)
 }
 
-// ReportResponseDrop notifies the lifecycle observer that this station
-// discarded a stale scheduled response. A nil lifecycle observer makes
-// this a no-op.
+// ReportResponseDrop emits a response-drop event: this station
+// discarded a stale scheduled response.
 func (e *Env) ReportResponseDrop(f *frames.Frame) {
-	if lc := e.engine.lifecycle; lc != nil {
-		lc.OnResponseDrop(e.node, f, e.engine.now)
+	if eng := e.engine; eng.wants.Has(EvResponseDrop) {
+		eng.sink.On(Event{Kind: EvResponseDrop, Slot: eng.now, Station: e.node, Frame: f})
 	}
 }

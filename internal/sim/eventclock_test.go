@@ -3,7 +3,7 @@ package sim
 // Tests of the event clock: when every attached MAC sleeps and the air
 // is clear, Run jumps straight to the next scheduled arrival, wake
 // obligation or run target instead of ticking empty slots, and the jump
-// is invisible to MACs, sources and observers.
+// is invisible to MACs and sources and reaches sinks as one idle span.
 
 import (
 	"math/rand"
@@ -49,38 +49,30 @@ func (s *slotSource) NextArrival(after Slot) (Slot, bool) {
 	return 0, false
 }
 
-// spanRecorder is an IdleSpanObserver test double recording per-slot
-// callbacks and bulk spans separately.
+// spanRecorder records slot events, simulated slots and skipped spans
+// separately.
 type spanRecorder struct {
 	slots []Slot
 	spans [][2]Slot
 }
 
-func (r *spanRecorder) OnSlot(now Slot, airing []AiringTx, collided bool) {
-	r.slots = append(r.slots, now)
-}
+func (r *spanRecorder) Kinds() KindSet { return KindsOf(EvSlot) }
 
-func (r *spanRecorder) OnIdleSpan(from, to Slot) {
-	r.spans = append(r.spans, [2]Slot{from, to})
-}
-
-// plainRecorder lacks the bulk hook, so skipped stretches must arrive
-// as a per-slot replay.
-type plainRecorder struct {
-	slots []Slot
-}
-
-func (r *plainRecorder) OnSlot(now Slot, airing []AiringTx, collided bool) {
-	if len(airing) != 0 {
-		panic("idle replay carried airing transmissions")
+func (r *spanRecorder) On(ev Event) {
+	if ev.End() == ev.Slot {
+		r.slots = append(r.slots, ev.Slot)
+		return
 	}
-	r.slots = append(r.slots, now)
+	if ev.Airing != nil || ev.Collided() {
+		panic("idle span carried airing transmissions or a collision")
+	}
+	r.spans = append(r.spans, [2]Slot{ev.Slot, ev.End()})
 }
 
 func TestEventClockSkipsWholeIdleRun(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
 	rec := &spanRecorder{}
-	e := New(Config{Topo: tp, SlotObserver: rec})
+	e := New(Config{Topo: tp, Sink: rec})
 	a := &sleepyMAC{quiet: true}
 	b := &sleepyMAC{quiet: true}
 	e.SetMAC(0, a)
@@ -91,7 +83,7 @@ func TestEventClockSkipsWholeIdleRun(t *testing.T) {
 		t.Fatalf("Now = %d, want 100", e.Now())
 	}
 	// Both stations tick slot 0, sleep, and the rest of the run is one
-	// bulk idle span.
+	// idle span.
 	for name, m := range map[string]*sleepyMAC{"a": a, "b": b} {
 		if len(m.ticked) != 1 || m.ticked[0] != 0 {
 			t.Fatalf("%s ticked %v, want only slot 0", name, m.ticked)
@@ -101,25 +93,7 @@ func TestEventClockSkipsWholeIdleRun(t *testing.T) {
 		t.Fatalf("spans = %v, want [[1 99]]", rec.spans)
 	}
 	if len(rec.slots) != 1 || rec.slots[0] != 0 {
-		t.Fatalf("per-slot callbacks = %v, want only slot 0", rec.slots)
-	}
-}
-
-func TestEventClockReplaysSpanForPlainObserver(t *testing.T) {
-	tp := lineTopo(2, 0.1, 0.15)
-	rec := &plainRecorder{}
-	e := New(Config{Topo: tp, SlotObserver: rec})
-	e.SetMAC(0, &sleepyMAC{quiet: true})
-	e.SetMAC(1, &sleepyMAC{quiet: true})
-
-	e.Run(50, nil)
-	if len(rec.slots) != 50 {
-		t.Fatalf("observer saw %d slots, want all 50", len(rec.slots))
-	}
-	for i, s := range rec.slots {
-		if s != Slot(i) {
-			t.Fatalf("slot callbacks out of order at %d: %v...", i, rec.slots[:i+1])
-		}
+		t.Fatalf("per-slot events = %v, want only slot 0", rec.slots)
 	}
 }
 
@@ -207,7 +181,7 @@ func TestEventClockCrashTransitionsAreWakeObligations(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
 	imp := &downWindow{station: 1, from: 20, to: 30}
 	rec := &spanRecorder{}
-	e := New(Config{Topo: tp, Impairment: imp, SlotObserver: rec})
+	e := New(Config{Topo: tp, Impairment: imp, Sink: rec})
 	a := &sleepyMAC{quiet: true}
 	b := &sleepyMAC{quiet: true}
 	e.SetMAC(0, a)

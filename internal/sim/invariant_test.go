@@ -45,7 +45,22 @@ type invariantTracer struct {
 	txer  map[*frames.Frame]int
 }
 
-func (tr *invariantTracer) TxStart(f *frames.Frame, sender int, start, end Slot) {
+func (tr *invariantTracer) Kinds() KindSet { return KindsOf(EvFrameTx, EvRxOK, EvRxLost) }
+
+func (tr *invariantTracer) On(ev Event) {
+	switch ev.Kind {
+	case EvFrameTx:
+		tr.txStart(ev.Frame, ev.Station, ev.Slot, ev.End())
+	case EvRxOK:
+		tr.rxOK(ev.Frame, ev.Station, ev.Slot)
+	case EvRxLost:
+		if _, ok := tr.start[ev.Frame]; !ok {
+			tr.t.Errorf("lost frame %v was never transmitted", ev.Frame)
+		}
+	}
+}
+
+func (tr *invariantTracer) txStart(f *frames.Frame, sender int, start, end Slot) {
 	if got := end - start + 1; int(got) != tr.tm.Airtime(f.Type) {
 		tr.t.Errorf("airtime of %v = %d slots, want %d", f, got, tr.tm.Airtime(f.Type))
 	}
@@ -53,7 +68,7 @@ func (tr *invariantTracer) TxStart(f *frames.Frame, sender int, start, end Slot)
 	tr.txer[f] = sender
 }
 
-func (tr *invariantTracer) RxOK(f *frames.Frame, receiver int, now Slot) {
+func (tr *invariantTracer) rxOK(f *frames.Frame, receiver int, now Slot) {
 	start, ok := tr.start[f]
 	if !ok {
 		tr.t.Errorf("delivered frame %v was never transmitted", f)
@@ -71,12 +86,6 @@ func (tr *invariantTracer) RxOK(f *frames.Frame, receiver int, now Slot) {
 	}
 }
 
-func (tr *invariantTracer) RxLost(f *frames.Frame, receiver int, now Slot) {
-	if _, ok := tr.start[f]; !ok {
-		tr.t.Errorf("lost frame %v was never transmitted", f)
-	}
-}
-
 func TestChannelInvariantsUnderChaos(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tp := topo.Uniform(20, 0.3, rng)
@@ -84,7 +93,7 @@ func TestChannelInvariantsUnderChaos(t *testing.T) {
 		t: t, topo: tp, tm: frames.DefaultTiming(),
 		start: map[*frames.Frame]Slot{}, txer: map[*frames.Frame]int{},
 	}
-	e := New(Config{Topo: tp, Tracer: tr, Seed: 5, Capture: capture.ZorziRao{}})
+	e := New(Config{Topo: tp, Sink: tr, Seed: 5, Capture: capture.ZorziRao{}})
 	for i := 0; i < tp.N(); i++ {
 		e.SetMAC(i, &chaosMAC{rng: rand.New(rand.NewSource(int64(i))), rate: 0.2})
 	}
@@ -95,7 +104,7 @@ func TestChannelInvariantsUnderChaos(t *testing.T) {
 }
 
 // Under chaos, every receiver of a clean slot either decodes or loses a
-// frame — the union of RxOK and RxLost receivers per frame must equal the
+// frame — the union of rx-ok and rx-lost receivers per frame must equal the
 // sender's in-range neighbor set.
 func TestEveryNeighborAccountedFor(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -111,7 +120,7 @@ func TestEveryNeighborAccountedFor(t *testing.T) {
 		onRx:   func(f *frames.Frame, r int, now Slot) { counts[f]++ },
 		onLost: func(f *frames.Frame, r int, now Slot) { counts[f]++ },
 	}
-	e := New(Config{Topo: tp, Tracer: tr, Seed: 9})
+	e := New(Config{Topo: tp, Sink: tr, Seed: 9})
 	for i := 0; i < tp.N(); i++ {
 		e.SetMAC(i, &chaosMAC{rng: rand.New(rand.NewSource(100 + int64(i))), rate: 0.15})
 	}
@@ -136,9 +145,18 @@ type funcTracer struct {
 	onLost func(*frames.Frame, int, Slot)
 }
 
-func (t *funcTracer) TxStart(f *frames.Frame, s int, a, b Slot) { t.onTx(f, s, a, b) }
-func (t *funcTracer) RxOK(f *frames.Frame, r int, now Slot)     { t.onRx(f, r, now) }
-func (t *funcTracer) RxLost(f *frames.Frame, r int, now Slot)   { t.onLost(f, r, now) }
+func (t *funcTracer) Kinds() KindSet { return KindsOf(EvFrameTx, EvRxOK, EvRxLost) }
+
+func (t *funcTracer) On(ev Event) {
+	switch ev.Kind {
+	case EvFrameTx:
+		t.onTx(ev.Frame, ev.Station, ev.Slot, ev.End())
+	case EvRxOK:
+		t.onRx(ev.Frame, ev.Station, ev.Slot)
+	case EvRxLost:
+		t.onLost(ev.Frame, ev.Station, ev.Slot)
+	}
+}
 
 // Full determinism under chaos + capture: identical seeds produce
 // identical delivery traces.
@@ -154,7 +172,7 @@ func TestChaosDeterminism(t *testing.T) {
 			},
 			onLost: func(f *frames.Frame, r int, now Slot) {},
 		}
-		e := New(Config{Topo: tp, Tracer: tr, Seed: 77, Capture: capture.ZorziRao{}, ErrRate: 0.05})
+		e := New(Config{Topo: tp, Sink: tr, Seed: 77, Capture: capture.ZorziRao{}, ErrRate: 0.05})
 		for i := 0; i < tp.N(); i++ {
 			e.SetMAC(i, &chaosMAC{rng: rand.New(rand.NewSource(7 + int64(i))), rate: 0.25})
 		}

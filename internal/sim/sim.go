@@ -193,69 +193,6 @@ type CrashScheduler interface {
 	NextCrashChange(station int, now Slot) (Slot, bool)
 }
 
-// Observer receives simulation events for metrics collection. All methods
-// may be called with high frequency; implementations should be cheap.
-// Any method may be a no-op.
-type Observer interface {
-	// OnSubmit fires when a request reaches a MAC.
-	OnSubmit(req *Request, now Slot)
-	// OnContention fires each time a sender begins a CSMA/CA contention
-	// phase for the request.
-	OnContention(req *Request, now Slot)
-	// OnFrameTx fires when a frame transmission starts.
-	OnFrameTx(f *frames.Frame, sender int, now Slot)
-	// OnDataRx fires when an intended receiver decodes the DATA frame of
-	// the given message.
-	OnDataRx(msgID int64, receiver int, now Slot)
-	// OnRound fires when a multi-round group protocol (BMMM/LAMM batch
-	// rounds, BMW per-receiver rounds) finishes one round, with the
-	// number of intended receivers still unserved afterwards — the
-	// residual the next round must absorb.
-	OnRound(req *Request, residual int, now Slot)
-	// OnComplete fires when the sending MAC considers the request
-	// finished (successfully from its point of view).
-	OnComplete(req *Request, now Slot)
-	// OnAbort fires when the sending MAC abandons the request, with the
-	// typed reason (deadline passed or retry budget exhausted).
-	OnAbort(req *Request, reason AbortReason, now Slot)
-}
-
-// NopObserver is an Observer that ignores every event.
-type NopObserver struct{}
-
-// OnSubmit implements Observer.
-func (NopObserver) OnSubmit(*Request, Slot) {}
-
-// OnContention implements Observer.
-func (NopObserver) OnContention(*Request, Slot) {}
-
-// OnFrameTx implements Observer.
-func (NopObserver) OnFrameTx(*frames.Frame, int, Slot) {}
-
-// OnDataRx implements Observer.
-func (NopObserver) OnDataRx(int64, int, Slot) {}
-
-// OnRound implements Observer.
-func (NopObserver) OnRound(*Request, int, Slot) {}
-
-// OnComplete implements Observer.
-func (NopObserver) OnComplete(*Request, Slot) {}
-
-// OnAbort implements Observer.
-func (NopObserver) OnAbort(*Request, AbortReason, Slot) {}
-
-// Tracer records channel-level events; used by protocol tests and by the
-// Figure 2 timeline reproduction. Nil tracers are allowed.
-type Tracer interface {
-	// TxStart fires when a transmission begins (slot start).
-	TxStart(f *frames.Frame, sender int, start, end Slot)
-	// RxOK fires when a receiver decodes a frame (at its final slot).
-	RxOK(f *frames.Frame, receiver int, now Slot)
-	// RxLost fires when a frame ends corrupted (or erased) at an in-range
-	// receiver.
-	RxLost(f *frames.Frame, receiver int, now Slot)
-}
-
 // Impairment is the pluggable fault model hook (internal/fault): channel
 // error processes and node failures beyond the collision-driven loss the
 // capture models govern. The engine consults it at two points per slot —
@@ -300,24 +237,9 @@ type Config struct {
 	// Impairment, when non-nil, injects channel errors and node crashes
 	// (internal/fault). Nil keeps the unimpaired fast path.
 	Impairment Impairment
-	// Observer receives protocol-level events; nil means NopObserver.
-	Observer Observer
-	// Tracer receives channel-level events; may be nil.
-	Tracer Tracer
-	// SlotObserver, when non-nil, receives one channel-state callback per
-	// slot (airing transmissions + collision flag) — the airtime ledger's
-	// feed. Combine several with CombineSlotObservers. Nil keeps the
-	// per-slot loop free of any callback cost. Observers additionally
-	// implementing IdleSpanObserver receive skipped idle stretches as
-	// one bulk callback instead of a per-slot replay.
-	SlotObserver SlotObserver
-	// Lifecycle, when non-nil, receives the fine-grained per-message
-	// service events (service start, round start, stale-response drop) —
-	// the feed for flight recorders and conformance auditors
-	// (internal/obs). Combine several with CombineLifecycleObservers.
-	// Nil keeps every lifecycle report site a nil-check no-op, so runs
-	// stay byte-identical to the pre-hook engine.
-	Lifecycle LifecycleObserver
+	// Sink receives the run's event stream (see Event); nil keeps every
+	// emission site a single bit test. Combine several with Combine.
+	Sink Sink
 	// SlotHook, when non-nil, runs at the start of every slot before
 	// traffic arrivals and MAC ticks. Mobility drivers use it to advance
 	// node positions and swap refreshed topologies in. A slot hook
@@ -334,7 +256,7 @@ type Config struct {
 	// Profiler, when non-nil, receives phase-boundary marks from the
 	// slot loop (see profiler.go) — the runtime profiling feed behind
 	// internal/prof. Profilers observe wall time only: they are
-	// PRNG-neutral and mutation-free (profpure-checked), so output is
+	// PRNG-neutral and mutation-free (hookpure-checked), so output is
 	// byte-identical with and without one attached. Nil keeps every
 	// mark site a single comparison.
 	Profiler Profiler
@@ -342,17 +264,17 @@ type Config struct {
 
 // Engine is the slotted channel simulator.
 type Engine struct {
-	topo      *topo.Topology
-	timing    frames.Timing
-	capture   capture.Model
-	errRate   float64
-	imp       Impairment
-	rng       *rand.Rand
-	observer  Observer
-	tracer    Tracer
-	slotObs   SlotObserver
-	lifecycle LifecycleObserver
-	slotHook  func(now Slot, e *Engine)
+	topo    *topo.Topology
+	timing  frames.Timing
+	capture capture.Model
+	errRate float64
+	imp     Impairment
+	rng     *rand.Rand
+	// sink receives the events of the kinds in wants, the set read
+	// once from Config.Sink; an emission site tests its kind's bit.
+	sink     Sink
+	wants    KindSet
+	slotHook func(now Slot, e *Engine)
 
 	now  Slot
 	macs []MAC
@@ -391,9 +313,9 @@ type Engine struct {
 	dists   []float64
 	touched []int // stations with ≥1 signal this slot
 
-	// airScratch is the reused airing list handed to the slot observer;
-	// slotCollided records whether resolveSlot saw a ≥2-signal overlap at
-	// any listening station in the current slot.
+	// airScratch is the reused airing list of slot events; slotCollided
+	// records whether resolveSlot saw a ≥2-signal overlap at any
+	// listening station in the current slot.
 	airScratch   []AiringTx
 	slotCollided bool
 
@@ -476,9 +398,9 @@ func New(cfg Config) *Engine {
 	if cap == nil {
 		cap = capture.None{}
 	}
-	obs := cfg.Observer
-	if obs == nil {
-		obs = NopObserver{}
+	var wants KindSet
+	if cfg.Sink != nil {
+		wants = cfg.Sink.Kinds()
 	}
 	hook := cfg.SlotHook
 	n := cfg.Topo.N()
@@ -490,10 +412,8 @@ func New(cfg Config) *Engine {
 		errRate:     cfg.ErrRate,
 		imp:         cfg.Impairment,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		observer:    obs,
-		tracer:      cfg.Tracer,
-		slotObs:     cfg.SlotObserver,
-		lifecycle:   cfg.Lifecycle,
+		sink:        cfg.Sink,
+		wants:       wants,
 		slotHook:    hook,
 		macs:        make([]MAC, n),
 		envs:        make([]Env, n),
@@ -591,9 +511,9 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // (EventSource, or nil) — the slot counter jumps straight to the next
 // slot at which anything can: the earliest scheduled arrival, the
 // earliest wake obligation, or the end of the run. The jump performs no
-// PRNG draws and fires no events, so output is byte-identical to
-// stepping the skipped slots one by one (slot observers see the span
-// via IdleSpanObserver or a per-slot replay).
+// PRNG draws and emits one event at most — the idle slot span, for a
+// sink wanting slot events — so output is byte-identical to stepping
+// the skipped slots one by one.
 func (e *Engine) Run(slots int, src Source) {
 	if e.prof != nil {
 		e.prof.RunStart()
@@ -653,16 +573,10 @@ func (e *Engine) skipTarget(src Source, es EventSource, target Slot) Slot {
 }
 
 // skipTo jumps the clock to the given slot, reporting the skipped
-// stretch — all idle by construction — to the slot observer.
+// stretch — all idle by construction — as one slot span.
 func (e *Engine) skipTo(next Slot) {
-	if e.slotObs != nil {
-		if so, ok := e.slotObs.(IdleSpanObserver); ok {
-			so.OnIdleSpan(e.now, next-1)
-		} else {
-			for t := e.now; t < next; t++ {
-				e.slotObs.OnSlot(t, nil, false)
-			}
-		}
+	if e.wants.Has(EvSlot) {
+		e.sink.On(Event{Kind: EvSlot, Slot: e.now, Station: -1, A: int(next - 1)})
 	}
 	e.now = next
 }
@@ -702,7 +616,9 @@ func (e *Engine) step(src Source) {
 				panic(fmt.Sprintf("sim: no MAC attached to station %d", req.Src))
 			}
 			e.wake(req.Src)
-			e.observer.OnSubmit(req, now)
+			if e.wants.Has(EvSubmit) {
+				e.sink.On(Event{Kind: EvSubmit, Slot: now, Station: req.Src, Req: req})
+			}
 			m.Submit(&e.envs[req.Src], req)
 		}
 	}
@@ -783,12 +699,12 @@ func (e *Engine) step(src Source) {
 	e.enter(PhaseResolve)
 	e.resolveSlot()
 
-	// 3.5. Channel-state callback: the airing set is complete (new
+	// 3.5. Channel-state event: the airing set is complete (new
 	// transmissions registered, none completed yet) and the collision
-	// flag is fresh from resolution. Draws nothing from the PRNG, so the
-	// nil path and the attached path simulate bit-identically.
+	// flag is fresh from resolution. Draws nothing from the PRNG, so runs
+	// with and without a slot sink simulate bit-identically.
 	e.enter(PhaseObserver)
-	if e.slotObs != nil {
+	if e.wants.Has(EvSlot) {
 		e.emitSlot()
 	}
 
@@ -903,9 +819,8 @@ func (e *Engine) startTx(sender int, f *frames.Frame) {
 	}
 	e.txN = r + 1
 	e.txBusyUntil[sender] = e.txEnd[r]
-	e.observer.OnFrameTx(f, sender, e.now)
-	if e.tracer != nil {
-		e.tracer.TxStart(f, sender, e.txStart[r], e.txEnd[r])
+	if e.wants.Has(EvFrameTx) {
+		e.sink.On(Event{Kind: EvFrameTx, Slot: e.now, Station: sender, Frame: f, A: int(e.txEnd[r])})
 	}
 }
 
@@ -938,7 +853,7 @@ func (e *Engine) resolveSlot() {
 // slot, marking corruption in the tx table and clearing the station's
 // signal scratch. The capture draw, when one is needed, comes from the
 // engine stream. Returns whether ≥2 signals overlapped (the slot
-// observer's collision flag).
+// event's collision flag).
 func (e *Engine) resolveStation(j int) bool {
 	now := e.now
 	sigs := e.sigTx[j]
@@ -947,7 +862,7 @@ func (e *Engine) resolveStation(j int) bool {
 	case e.txBusyUntil[j] >= now:
 		// Half duplex: a transmitting station decodes nothing. Two or
 		// more arrivals still count as a physical signal overlap for
-		// the slot observer's collision flag.
+		// the slot event's collision flag.
 		if len(sigs) > 1 {
 			collided = true
 		}
@@ -985,10 +900,10 @@ func (e *Engine) resolveStation(j int) bool {
 	return collided
 }
 
-// emitSlot hands the slot observer the channel state of the current
-// slot: every transmission in the air (via the reused scratch list) and
-// whether resolution saw a signal overlap. Called only when a slot
-// observer is attached.
+// emitSlot emits the channel state of the current slot: every
+// transmission in the air (via the reused scratch list) and whether
+// resolution saw a signal overlap. Called only when a sink wants slot
+// events.
 func (e *Engine) emitSlot() {
 	now := e.now
 	airing := e.airScratch[:0]
@@ -1002,7 +917,12 @@ func (e *Engine) emitSlot() {
 			})
 		}
 	}
-	e.slotObs.OnSlot(now, airing, e.slotCollided)
+	collided := 0
+	if e.slotCollided {
+		collided = 1
+	}
+	e.airScratch = airing
+	e.sink.On(Event{Kind: EvSlot, Slot: now, Station: -1, A: int(now), B: collided, Airing: &e.airScratch})
 	// Break the frame references before recycling the scratch so retained
 	// frames stay collectable once their transmissions complete.
 	for i := range airing {
@@ -1052,16 +972,16 @@ func (e *Engine) completeSlot() {
 				lost = true
 			}
 			if lost {
-				if e.tracer != nil {
-					e.tracer.RxLost(f, j, now)
+				if e.wants.Has(EvRxLost) {
+					e.sink.On(Event{Kind: EvRxLost, Slot: now, Station: j, Frame: f})
 				}
 				continue
 			}
-			if e.tracer != nil {
-				e.tracer.RxOK(f, j, now)
+			if e.wants.Has(EvRxOK) {
+				e.sink.On(Event{Kind: EvRxOK, Slot: now, Station: j, Frame: f})
 			}
-			if f.Type == frames.Data {
-				e.observer.OnDataRx(f.MsgID, j, now)
+			if f.Type == frames.Data && e.wants.Has(EvDataRx) {
+				e.sink.On(Event{Kind: EvDataRx, Slot: now, Station: j, Frame: f})
 			}
 			if m := e.macs[j]; m != nil {
 				m.Deliver(&e.envs[j], f)
@@ -1075,8 +995,8 @@ func (e *Engine) completeSlot() {
 			}
 		}
 		// The row is done: break the references it holds. The frame
-		// itself is never pooled — MACs, observers and tracers may
-		// retain it indefinitely. Its corruption mask stays parked in
+		// itself is never pooled — MACs and sinks may retain it
+		// indefinitely. Its corruption mask stays parked in
 		// the tail for the next startTx to recycle.
 		e.txFrame[r] = nil
 		e.txRecv[r] = nil

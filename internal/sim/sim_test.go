@@ -238,30 +238,18 @@ func TestDoubleTransmitPanics(t *testing.T) {
 func TestObserverDataRx(t *testing.T) {
 	tp := lineTopo(3, 0.1, 0.15)
 	var got []string
-	obs := &funcObserver{
-		onDataRx: func(msgID int64, rcv int, now Slot) {
-			got = append(got, fmt.Sprintf("%d@%d:%d", msgID, rcv, now))
-		},
-	}
-	e, macs := engineWithScripts(t, tp, Config{Observer: obs})
+	sink := &funcSink{kinds: KindsOf(EvDataRx, EvRxOK), on: func(ev Event) {
+		got = append(got, fmt.Sprintf("%s %d@%d:%d", ev.Kind, ev.Frame.MsgID, ev.Station, ev.Slot))
+	}}
+	e, macs := engineWithScripts(t, tp, Config{Sink: sink})
 	f := ctl(frames.Data, 1, -1)
 	f.MsgID = 42
 	macs[1].at(0, f)
 	e.Run(5, nil)
-	if len(got) != 2 {
-		t.Fatalf("OnDataRx events = %v, want both neighbors", got)
-	}
-}
-
-// funcObserver adapts closures to the Observer interface for tests.
-type funcObserver struct {
-	NopObserver
-	onDataRx func(int64, int, Slot)
-}
-
-func (o *funcObserver) OnDataRx(msgID int64, rcv int, now Slot) {
-	if o.onDataRx != nil {
-		o.onDataRx(msgID, rcv, now)
+	// Each receiver sees rx-ok before data-rx, receivers in range order.
+	want := []string{"rx-ok 42@0:4", "data-rx 42@0:4", "rx-ok 42@2:4", "data-rx 42@2:4"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("events = %v, want %v", got, want)
 	}
 }
 

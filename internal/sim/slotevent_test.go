@@ -8,24 +8,31 @@ import (
 	"relmac/internal/frames"
 )
 
-// recSlotObs records one line per slot: the airing frames (type@sender,
-// in registration order) and the collision flag.
+// recSlotObs records one line per slot event: the slot (or span), the
+// airing frames (type@sender, in registration order) and the collision
+// flag.
 type recSlotObs struct {
 	lines []string
 }
 
-func (r *recSlotObs) OnSlot(now Slot, airing []AiringTx, collided bool) {
-	parts := make([]string, 0, len(airing))
-	for _, tx := range airing {
+func (r *recSlotObs) Kinds() KindSet { return KindsOf(EvSlot) }
+
+func (r *recSlotObs) On(ev Event) {
+	parts := make([]string, 0, len(ev.Txs()))
+	for _, tx := range ev.Txs() {
 		parts = append(parts, fmt.Sprintf("%s@%d[%d-%d]", tx.Frame.Type, tx.Sender, tx.Start, tx.End))
 	}
-	r.lines = append(r.lines, fmt.Sprintf("%d %s c=%v", now, strings.Join(parts, ","), collided))
+	at := fmt.Sprint(ev.Slot)
+	if ev.End() != ev.Slot {
+		at += fmt.Sprintf("-%d", ev.End())
+	}
+	r.lines = append(r.lines, fmt.Sprintf("%s %s c=%v", at, strings.Join(parts, ","), ev.Collided()))
 }
 
 func TestSlotObserverSeesAiringAndIdle(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObserver: rec})
+	e, macs := engineWithScripts(t, tp, Config{Sink: rec})
 	macs[0].at(1, ctl(frames.Data, 0, 1)) // airs slots 1..5
 	e.Run(7, nil)
 	want := []string{
@@ -38,7 +45,7 @@ func TestSlotObserverSeesAiringAndIdle(t *testing.T) {
 		"6  c=false",
 	}
 	if len(rec.lines) != len(want) {
-		t.Fatalf("got %d slot callbacks, want %d: %v", len(rec.lines), len(want), rec.lines)
+		t.Fatalf("got %d slot events, want %d: %v", len(rec.lines), len(want), rec.lines)
 	}
 	for i := range want {
 		if rec.lines[i] != want[i] {
@@ -51,7 +58,7 @@ func TestSlotObserverCollisionFlag(t *testing.T) {
 	// Hidden terminals: 0 and 2 collide at 1.
 	tp := lineTopo(3, 0.1, 0.15)
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObserver: rec})
+	e, macs := engineWithScripts(t, tp, Config{Sink: rec})
 	macs[0].at(0, ctl(frames.RTS, 0, 1))
 	macs[2].at(0, ctl(frames.RTS, 2, 1))
 	e.Run(2, nil)
@@ -68,7 +75,7 @@ func TestSlotObserverHalfDuplexOverlapFlagged(t *testing.T) {
 	// duplex) but two signals still overlapped at its radio — collided.
 	tp := lineTopo(3, 0.1, 0.15)
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObserver: rec})
+	e, macs := engineWithScripts(t, tp, Config{Sink: rec})
 	macs[0].at(0, ctl(frames.CTS, 0, 1))
 	macs[1].at(0, ctl(frames.CTS, 1, 0))
 	macs[2].at(0, ctl(frames.CTS, 2, 1))
@@ -84,7 +91,7 @@ func TestSlotObserverMutualTransmissionNotCollision(t *testing.T) {
 	// so the collision flag stays clear.
 	tp := lineTopo(2, 0.1, 0.15)
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObserver: rec})
+	e, macs := engineWithScripts(t, tp, Config{Sink: rec})
 	macs[0].at(0, ctl(frames.CTS, 0, 1))
 	macs[1].at(0, ctl(frames.CTS, 1, 0))
 	e.Run(1, nil)
@@ -99,7 +106,7 @@ func TestSlotObserverSingleArrivalAtTransmitterNotCollision(t *testing.T) {
 	// no physical overlap, so the collision flag stays clear.
 	tp := lineTopo(3, 0.1, 0.15) // 0-1 and 1-2 in range; 0-2 not
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObserver: rec})
+	e, macs := engineWithScripts(t, tp, Config{Sink: rec})
 	macs[0].at(0, ctl(frames.CTS, 0, 1))
 	macs[1].at(0, ctl(frames.CTS, 1, 2))
 	e.Run(1, nil)
@@ -112,52 +119,48 @@ func TestSlotObserverSingleArrivalAtTransmitterNotCollision(t *testing.T) {
 
 func TestCombineSlotObservers(t *testing.T) {
 	a, b := &recSlotObs{}, &recSlotObs{}
-	if got := CombineSlotObservers(); got != nil {
-		t.Errorf("empty combine = %T, want nil", got)
+	var log []string
+	multi := Combine(a, b, logSink("protocol", ProtocolKinds, &log))
+	if !multi.Kinds().Has(EvSlot) {
+		t.Fatal("combined kinds lack the members' slot kind")
 	}
-	if got := CombineSlotObservers(nil, nil); got != nil {
-		t.Errorf("all-nil combine = %T, want nil", got)
-	}
-	if got := CombineSlotObservers(nil, a); got != SlotObserver(a) {
-		t.Errorf("single combine = %T, want the observer itself", got)
-	}
-	multi := CombineSlotObservers(a, b)
-	if _, ok := multi.(MultiSlotObserver); !ok {
-		t.Fatalf("two observers combine = %T, want MultiSlotObserver", multi)
-	}
-	multi.OnSlot(3, nil, false)
+	multi.On(Event{Kind: EvSlot, Slot: 3, Station: -1, A: 3})
 	if len(a.lines) != 1 || len(b.lines) != 1 {
-		t.Errorf("fan-out missed an observer: a=%v b=%v", a.lines, b.lines)
+		t.Errorf("fan-out missed a slot sink: a=%v b=%v", a.lines, b.lines)
+	}
+	if len(log) != 0 {
+		t.Errorf("a sink not wanting slot events saw %v", log)
 	}
 }
 
 type panickySlotObs struct{}
 
-func (panickySlotObs) OnSlot(Slot, []AiringTx, bool) { panic("boom") }
+func (panickySlotObs) Kinds() KindSet { return KindsOf(EvSlot) }
+func (panickySlotObs) On(Event)       { panic("boom") }
 
 func TestMultiSlotObserverPanicAttribution(t *testing.T) {
-	m := CombineSlotObservers(&recSlotObs{}, panickySlotObs{})
+	m := Combine(&recSlotObs{}, panickySlotObs{})
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("expected panic")
 		}
 		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, "slot observer 2/2") || !strings.Contains(msg, "panickySlotObs") {
+		if !strings.Contains(msg, "sink 2/2") || !strings.Contains(msg, "panickySlotObs") {
 			t.Errorf("panic not attributed: %q", msg)
 		}
 	}()
-	m.OnSlot(0, nil, false)
+	m.On(Event{Kind: EvSlot, Station: -1})
 }
 
 func TestSlotObserverBitIdentical(t *testing.T) {
-	// Attaching a slot observer must not perturb the simulation: same
-	// seed, same outcomes, with and without the hook.
+	// Attaching a slot sink must not perturb the simulation: same seed,
+	// same outcomes, with and without it.
 	run := func(attach bool) []string {
 		tp := lineTopo(3, 0.1, 0.15)
 		cfg := Config{Seed: 5, ErrRate: 0.5}
 		if attach {
-			cfg.SlotObserver = &recSlotObs{}
+			cfg.Sink = &recSlotObs{}
 		}
 		e, macs := engineWithScripts(t, tp, cfg)
 		macs[0].at(0, ctl(frames.Data, 0, 1)).at(7, ctl(frames.RTS, 0, 1))
@@ -167,6 +170,6 @@ func TestSlotObserverBitIdentical(t *testing.T) {
 	}
 	with, without := run(true), run(false)
 	if fmt.Sprint(with) != fmt.Sprint(without) {
-		t.Errorf("slot observer perturbed the run:\n  with:    %v\n  without: %v", with, without)
+		t.Errorf("slot sink perturbed the run:\n  with:    %v\n  without: %v", with, without)
 	}
 }

@@ -102,8 +102,12 @@ func TestFixtures(t *testing.T) {
 		{"simsafe/good", func(c *Config) { c.SerialPaths = []string{"fix/simsafe"} }},
 		{"docpresent/bad", func(c *Config) { c.SimPaths = []string{"fix/docpresent"} }},
 		{"docpresent/good", func(c *Config) { c.SimPaths = []string{"fix/docpresent"} }},
+		{"prngflow/bad", nil},
+		{"prngflow/good", nil},
 		{"hookpure/bad", nil},
 		{"hookpure/good", nil},
+		{"profpure/bad", nil},
+		{"profpure/good", nil},
 		{"maporder/bad", func(c *Config) { c.SimPaths = []string{"fix/maporder"} }},
 		{"maporder/good", func(c *Config) { c.SimPaths = []string{"fix/maporder"} }},
 		{"hotalloc/bad", func(c *Config) { c.HotPathRoots = []string{"fix/hotalloc/bad.run"} }},

@@ -1,11 +1,12 @@
-// Package bad implements hooks that break the observation contract
-// hookpure enforces: sinks and profilers that consume pseudo-randomness
-// (shifting every later draw in the run) or steer the simulation they
-// are supposed to observe (re-entering the engine's bookkeeping).
+// Package bad implements sinks that steer the simulation they are
+// supposed to observe: each reaches a mutating sim.Env dispatcher,
+// re-entering the engine's per-slot bookkeeping from measurement code.
+// The PRNG half of hookpure has its own fixtures (prngflow for sinks,
+// profpure for profilers).
 //
 // The Env.Report* emitters hand their event to the attached sinks, so
 // every hook that calls one also reaches, through that dispatch, the
-// draw in jitterTap.On — a second, genuine finding on the same line.
+// draw in rollTap.On — a second, genuine finding on the same line.
 package bad
 
 import (
@@ -14,31 +15,14 @@ import (
 	"relmac/internal/sim"
 )
 
-// jitterTap draws directly from a field-held generator inside its hook:
-// the receiver-rooted *rand.Rand is tainted provenance.
-type jitterTap struct {
-	rng *rand.Rand
+// rollTap draws from the global stream inside its hook.
+type rollTap struct{}
+
+func (rollTap) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSlot) }
+
+func (rollTap) On(ev sim.Event) { // want `hook \(bad\.rollTap\)\.On reaches a PRNG draw`
+	_ = rand.Intn(8)
 }
-
-func (t *jitterTap) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSlot) }
-
-func (t *jitterTap) On(ev sim.Event) { // want `hook \(bad\.jitterTap\)\.On reaches a PRNG draw`
-	_ = t.rng.Intn(8)
-}
-
-// globalTap reaches the global math/rand stream two calls deep; the
-// call-graph closure still attributes the draw to the hook.
-type globalTap struct{}
-
-func (globalTap) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSlot) }
-
-func (globalTap) On(ev sim.Event) { // want `hook \(bad\.globalTap\)\.On reaches a PRNG draw`
-	jitter()
-}
-
-func jitter() int { return pick() }
-
-func pick() int { return rand.Intn(3) }
 
 // reinjector aborts a request from inside its hook — a direct
 // engine-state mutation.
@@ -67,34 +51,4 @@ func (d *dropForger) On(ev sim.Event) { // want `hook \(bad\.dropForger\)\.On re
 
 func forge(env *sim.Env) {
 	env.ReportResponseDrop(nil)
-}
-
-// drawTimer draws from a field-held generator inside Enter: a draw per
-// phase transition perturbs the whole trajectory.
-type drawTimer struct {
-	rng *rand.Rand
-	acc [sim.NumPhases]int64
-}
-
-func (t *drawTimer) RunStart() {}
-
-func (t *drawTimer) Enter(p sim.Phase) { // want `hook \(bad\.drawTimer\)\.Enter reaches a PRNG draw`
-	t.acc[int(p)] += int64(t.rng.Intn(8))
-}
-
-func (t *drawTimer) RunEnd() {}
-
-// steerTimer aborts a request from inside RunEnd — profiler code
-// re-entering the engine's bookkeeping.
-type steerTimer struct {
-	env *sim.Env
-	req *sim.Request
-}
-
-func (s *steerTimer) RunStart() {}
-
-func (s *steerTimer) Enter(sim.Phase) {}
-
-func (s *steerTimer) RunEnd() { // want `hook \(bad\.steerTimer\)\.RunEnd reaches a sim\.Engine/Env mutation` want `hook \(bad\.steerTimer\)\.RunEnd reaches a PRNG draw`
-	s.env.ReportAbort(s.req, sim.AbortDeadline)
 }

@@ -1,36 +1,11 @@
-// Package good implements hooks in the sanctioned shape: sinks that
-// count and record, reading the engine only through allowlisted
-// accessors, and a profiler that reads an injectable clock (held as a
-// func value, never a static time.Now call) and accumulates counters.
+// Package good implements sinks in the sanctioned shape: they count and
+// record, reading the engine only through allowlisted accessors.
 // hookpure must stay silent here.
 package good
 
 import (
-	"math/rand"
-	"time"
-
 	"relmac/internal/sim"
 )
-
-// counterTap holds a generator but never draws from it inside a hook —
-// holding is legal, consuming is not.
-type counterTap struct {
-	slots int
-	rng   *rand.Rand
-}
-
-func (t *counterTap) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSlot) }
-
-func (t *counterTap) On(ev sim.Event) {
-	t.slots += len(ev.Txs())
-}
-
-// scramble draws from a locally constructed generator (clean provenance
-// under the dataflow rules) and is not reachable from any hook anyway.
-func scramble(seed int64, n int) int {
-	r := rand.New(rand.NewSource(seed))
-	return r.Intn(n)
-}
 
 // spanRecorder reads Env.Now and Env.Wants (read-only allowlist) and
 // appends into its own receiver-rooted storage.
@@ -45,34 +20,4 @@ func (s *spanRecorder) On(ev sim.Event) {
 	if s.env != nil && s.env.Wants(sim.EvSlot) && s.env.Now() == ev.Slot {
 		s.seen = append(s.seen, ev.Slot)
 	}
-}
-
-// timer is a minimal phase accumulator: every hook only reads the
-// injected clock and adds into engine-external counters.
-type timer struct {
-	clock   func() time.Time
-	last    time.Time
-	cur     sim.Phase
-	acc     [sim.NumPhases]int64
-	running bool
-}
-
-func (t *timer) RunStart() {
-	t.running = true
-	t.last = t.clock()
-	t.cur = sim.PhaseUntracked
-}
-
-func (t *timer) Enter(p sim.Phase) {
-	if !t.running {
-		return
-	}
-	now := t.clock()
-	t.acc[int(t.cur)] += now.Sub(t.last).Nanoseconds()
-	t.last, t.cur = now, p
-}
-
-func (t *timer) RunEnd() {
-	t.Enter(sim.PhaseUntracked)
-	t.running = false
 }

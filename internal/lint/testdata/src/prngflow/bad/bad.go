@@ -1,6 +1,6 @@
-// Package bad implements observer hooks that consume pseudo-randomness,
-// violating the prngflow hook contract: a draw inside a hook shifts
-// every later draw in the run, so attaching the observer changes the
+// Package bad implements sinks that consume pseudo-randomness, the PRNG
+// half of the contract hookpure enforces: a draw inside a hook shifts
+// every later draw in the run, so attaching the sink changes the
 // trajectory.
 package bad
 
@@ -16,7 +16,9 @@ type jitterTap struct {
 	rng *rand.Rand
 }
 
-func (t *jitterTap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) { // want `observer hook \(bad\.jitterTap\)\.OnSlot reaches a PRNG draw`
+func (t *jitterTap) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSlot) }
+
+func (t *jitterTap) On(ev sim.Event) { // want `hook \(bad\.jitterTap\)\.On reaches a PRNG draw`
 	_ = t.rng.Intn(8)
 }
 
@@ -24,7 +26,9 @@ func (t *jitterTap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 // call-graph closure still attributes the draw to the hook.
 type globalTap struct{}
 
-func (globalTap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) { // want `observer hook \(bad\.globalTap\)\.OnSlot reaches a PRNG draw`
+func (globalTap) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSlot) }
+
+func (globalTap) On(ev sim.Event) { // want `hook \(bad\.globalTap\)\.On reaches a PRNG draw`
 	jitter()
 }
 

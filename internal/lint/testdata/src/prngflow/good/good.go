@@ -1,5 +1,5 @@
-// Package good implements PRNG-neutral observer hooks: they count and
-// record, but never draw, so the prngflow check stays silent.
+// Package good implements PRNG-neutral sinks: they count and record, but
+// never draw, so hookpure stays silent.
 package good
 
 import (
@@ -15,8 +15,10 @@ type counterTap struct {
 	rng   *rand.Rand
 }
 
-func (t *counterTap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
-	t.slots += len(airing)
+func (t *counterTap) Kinds() sim.KindSet { return sim.KindsOf(sim.EvSlot) }
+
+func (t *counterTap) On(ev sim.Event) {
+	t.slots += len(ev.Txs())
 }
 
 // scramble draws from a locally constructed generator (clean provenance

@@ -1,5 +1,5 @@
-// Package bad implements profiler hooks that violate the profpure
-// contract: one consumes pseudo-randomness from a phase hook (shifting
+// Package bad implements profiler hooks that break the contract hookpure
+// enforces: one consumes pseudo-randomness from a phase hook (shifting
 // every later draw in the run), one steers the engine from RunEnd
 // (coupling measurement to dynamics). Either breaks the profiler's
 // byte-neutrality guarantee.
@@ -11,8 +11,7 @@ import (
 	"relmac/internal/sim"
 )
 
-// drawTimer draws from a field-held generator inside Enter: the
-// receiver-rooted *rand.Rand is tainted provenance, and a draw per
+// drawTimer draws from a field-held generator inside Enter: a draw per
 // phase transition perturbs the whole trajectory.
 type drawTimer struct {
 	rng *rand.Rand
@@ -21,7 +20,7 @@ type drawTimer struct {
 
 func (t *drawTimer) RunStart() {}
 
-func (t *drawTimer) Enter(p sim.Phase) { // want `profiler hook \(bad\.drawTimer\)\.Enter reaches a PRNG draw`
+func (t *drawTimer) Enter(p sim.Phase) { // want `hook \(bad\.drawTimer\)\.Enter reaches a PRNG draw`
 	t.acc[int(p)] += int64(t.rng.Intn(8))
 }
 
@@ -38,6 +37,6 @@ func (s *steerTimer) RunStart() {}
 
 func (s *steerTimer) Enter(sim.Phase) {}
 
-func (s *steerTimer) RunEnd() { // want `profiler hook \(bad\.steerTimer\)\.RunEnd reaches a sim\.Engine/Env mutation`
+func (s *steerTimer) RunEnd() { // want `hook \(bad\.steerTimer\)\.RunEnd reaches a sim\.Engine/Env mutation`
 	s.env.ReportAbort(s.req, sim.AbortDeadline)
 }

@@ -1,6 +1,6 @@
 // Package good implements a clean profiler in the sanctioned shape: an
 // injectable clock held as a func value (never a static time.Now call)
-// and pure counter accumulation. profpure must stay silent here.
+// and pure counter accumulation. hookpure must stay silent here.
 package good
 
 import (
